@@ -2,9 +2,9 @@
 
 Subcommands: ``track`` (continuation run), ``reference`` (repeated
 dense eigendecomposition over the same grid), ``compare`` (error report
-between two trajectory CSVs), ``bench`` (cost comparison), and
-``spectrum`` (one-shot spectrum dump).  A JSON config file can supply
-any long-option value; explicitly passed flags win over the file.
+between two trajectory CSVs), and ``spectrum`` (one-shot spectrum
+dump).  A JSON config file can supply any long-option value; explicitly
+passed flags win over the file.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import List, Optional
 
 import numpy as np
@@ -80,14 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--max-rel-error", type=float)
     p.add_argument("--max-dzeta", type=float)
-
-    p = sub.add_parser("bench", help="continuation vs repeated eigendecomposition cost")
-    add_model_args(p)
-    add_sweep_args(p)
-    add_common(p)
-    p.add_argument("--target-index", type=int)
-    p.add_argument("--adaptive", action="store_true", default=None)
-    p.add_argument("--corrector", action="store_true", default=None)
 
     p = sub.add_parser("spectrum", help="dump the full spectrum at one parameter value")
     add_model_args(p)
@@ -292,57 +283,6 @@ def cmd_compare(cfg: dict) -> int:
     return EXIT_ABORTED if bad else EXIT_OK
 
 
-def cmd_bench(cfg: dict) -> int:
-    provider = build_provider(cfg)
-    for key in ("p_init", "p_fin", "dp"):
-        if cfg.get(key) is None:
-            raise EigtrackError("--from/--to/--dp are required")
-    grid = grid_from(cfg)
-    pencil = provider.r != provider.n
-
-    t0 = time.perf_counter()
-    pairs = full_spectrum(provider, grid[0], pencil_coords=pencil)
-    idx = (select_target(pairs, cfg) if cfg.get("target_index") is not None
-           else int(np.argmax([p.s.real for p in pairs])))
-    E, A = provider.matrices(grid[0])
-    init = tracker.init_from_eigenpair(E, A, pairs[idx].s, pairs[idx].right,
-                                       p=grid[0])
-    t_init = time.perf_counter() - t0
-    tc = tracker_config({**cfg, "integrator": cfg.get("integrator", "fem")})
-    t1 = time.perf_counter()
-    traj = tracker.track(provider, init, tc)
-    t_track = time.perf_counter() - t1
-    steps = max(len(traj) - 1, 1)
-
-    t2 = time.perf_counter()
-    for p in grid:
-        full_spectrum(provider, p)
-    t_qr_total = time.perf_counter() - t2
-    t_qr_one = t_qr_total / len(grid)
-
-    report = {
-        "continuation": {
-            "total_s": t_init + t_track,
-            "after_initial_s": t_track,
-            "per_step_s": t_track / steps,
-            "steps": steps,
-        },
-        "repeated_eig": {
-            "total_s": t_qr_total,
-            "after_initial_s": t_qr_total - t_qr_one,
-            "per_step_s": t_qr_one,
-            "steps": len(grid),
-        },
-    }
-    report["per_step_speedup"] = (report["repeated_eig"]["per_step_s"]
-                                  / report["continuation"]["per_step_s"])
-    print(json.dumps(report, indent=1))
-    if cfg.get("out"):
-        with open(cfg["out"], "w") as fh:
-            json.dump(report, fh, indent=1)
-    return EXIT_OK
-
-
 def cmd_spectrum(cfg: dict) -> int:
     provider = build_provider(cfg)
     at = cfg.get("at")
@@ -364,7 +304,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "track": cmd_track,
             "reference": cmd_reference,
             "compare": cmd_compare,
-            "bench": cmd_bench,
             "spectrum": cmd_spectrum,
         }[args.command]
         return handler(cfg)

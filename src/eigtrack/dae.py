@@ -389,11 +389,6 @@ class ModelPencilProvider:
             self._blocks_cache[p] = blocks
         return blocks
 
-    def equilibrium(self, p: float) -> Equilibrium:
-        eq = solve_equilibrium(self.model, p, self._eq_guess)
-        self._eq_guess = (eq.x0, eq.y0)
-        return eq
-
     def matrices(self, p: float):
         blocks = self.blocks(p)
         if self.form == "reduced":

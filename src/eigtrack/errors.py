@@ -49,6 +49,11 @@ class ManifestError(EigtrackError):
     """A pencil-sequence manifest file is malformed."""
 
 
+class OffGrid(EigtrackError, ValueError):
+    """A tabulated provider was asked for a parameter value it does not
+    list."""
+
+
 class AmbiguousTarget(EigtrackError):
     """Two spectrum entries score identically for a target selector."""
 

@@ -1,11 +1,11 @@
 """Sparse/dense linear algebra primitives.
 
-Real sparse matrices are carried as ``scipy.sparse.csc_matrix``;
-dense matrices and complex vectors are plain numpy arrays.  The two
-entry points that the continuation core leans on are :func:`lu_factor`
-(sparse LU with an absolute pivot floor, so near-singular mass matrices
-surface as :class:`~eigtrack.errors.SingularMatrix` instead of garbage
-solutions) and :func:`eig_dense` (full dense eigendecomposition used as
+Sparse matrices, real or complex, are carried as
+``scipy.sparse.csc_matrix``; dense matrices and vectors are plain numpy
+arrays.  The two entry points that the continuation core leans on are
+:func:`lu_factor` (sparse LU with an absolute pivot floor, so
+near-singular bordered matrices surface as
+:class:`~eigtrack.errors.SingularMatrix` instead of garbage solutions) and :func:`eig_dense` (full dense eigendecomposition used as
 initializer and reference oracle).
 """
 
@@ -71,28 +71,9 @@ class LUFactorization:
             )
         return self._lu.solve(b)
 
-    def cond_estimate(self) -> float:
-        """One-norm condition estimate ||M||_1 * est(||M^-1||_1)."""
-        n = self.shape[0]
-        op = spla.LinearOperator(
-            self.shape,
-            matvec=self._lu.solve,
-            rmatvec=lambda b: self._lu.solve(b, trans="T"),
-        )
-        # Rebuild ||M||_1 from the factors: ||M||_1 = ||(LU)^T P^T ...||; cheaper
-        # and accurate enough is est via the product of factor norms, but the
-        # exact value is recoverable from L@U.  Keep it simple for the sizes used.
-        LU = (self._lu.L @ self._lu.U).tocsc()
-        norm_M = abs(LU).sum(axis=0).max()
-        try:
-            inv_norm = spla.onenormest(op)
-        except Exception:
-            return np.inf
-        return float(norm_M * inv_norm)
-
 
 def lu_factor(M, pivot_floor: float = DEFAULT_PIVOT_FLOOR) -> LUFactorization:
-    """Sparse LU factorization of a square real matrix.
+    """Sparse LU factorization of a square real or complex matrix.
 
     Raises :class:`SingularMatrix` when a pivot falls at or below
     ``pivot_floor``; callers interpret this as proximity to a

@@ -35,6 +35,7 @@ from .errors import (
     DisconnectedNetwork,
     ManifestError,
     NoConvergence,
+    OffGrid,
     SingularMatrix,
 )
 from .linalg import as_csc, lu_factor, read_matrix_market
@@ -556,7 +557,7 @@ class FilePencilProvider:
         for k, q in enumerate(self.p_values):
             if abs(p - q) <= tol:
                 return k
-        raise ValueError(f"p={p} is not one of the listed parameter values")
+        raise OffGrid(f"p={p} is not one of the listed parameter values")
 
     def matrices(self, p):
         k = self._index(p)

@@ -1,10 +1,11 @@
 """Continuation core for tracking one eigenpair of a parameterized pencil.
 
-The tracked quantity is the real split of the augmented eigenpair
-vector (phi_r, phi_i, s_r, s_i).  Differentiating the eigenproblem and
-the bilinear normalization phi^T phi = c with respect to the parameter
-gives a (2r+2)-dimensional linear system M(y) y' = h(y) with a sparse,
-state-dependent mass matrix.  Tracking integrates this system with an
+The tracked quantity is the complex augmented vector [phi; s].  The
+eigenproblem (sE - A) phi = 0 and the bilinear normalization
+phi^T phi = c have no conjugation, so they are analytic in (phi, s);
+differentiating them with respect to the parameter gives the complex
+bordered (r+1)-dimensional system M [phi'; s'] = h with a sparse,
+state-dependent matrix M.  Tracking integrates this system with an
 explicit Euler or classical Runge-Kutta predictor, optionally refines
 each step with a Newton corrector on the exact eigenproblem, adapts the
 parameter step from the eigenvalue displacement, and recovers from
@@ -18,13 +19,14 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Set
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import (
     DegenerateVector,
+    EigtrackError,
     NoCandidate,
     NoConvergence,
     SingularMatrix,
@@ -65,14 +67,6 @@ class TrackerState:
     s: complex
     p: float
     c: complex = 1.0 + 0.0j
-
-    @property
-    def phi_re(self) -> np.ndarray:
-        return self.phi.real.copy()
-
-    @property
-    def phi_im(self) -> np.ndarray:
-        return self.phi.imag.copy()
 
     def copy(self) -> "TrackerState":
         return TrackerState(self.phi.copy(), self.s, self.p, self.c)
@@ -243,74 +237,36 @@ def init_from_eigenpair(E, A, s: complex, phi: np.ndarray,
 
 
 def assemble_system(sample, state: TrackerState):
-    """Mass matrix M and right-hand side h of the real split system.
+    """Bordered matrix M and right-hand side h of M [phi'; s'] = h.
 
-    Row blocks 1..r and r+1..2r are the real and imaginary parts of the
-    differentiated eigenproblem; the last two rows are the real and
-    imaginary parts of the differentiated normalization phi^T phi' = 0.
+    M = [[sE - A, E phi], [phi^T, 0]] and h = [(Adot - s Edot) phi; 0]:
+    the differentiated eigenproblem and normalization phi^T phi' = 0.
     """
     E, A = sample.E, sample.A
-    Edot, Adot = sample.Edot, sample.Adot
-    sr, si = state.s.real, state.s.imag
-    pr, pi = state.phi.real, state.phi.imag
-    r = len(pr)
-    srEmA = (sr * E - A).tocoo()
-    siE = (si * E).tocoo() if si != 0.0 else None
-    Epr = E @ pr
-    Epi = E @ pi
-    arange_r = np.arange(r)
-    rows = [srEmA.row, srEmA.row + r]
-    cols = [srEmA.col, srEmA.col + r]
-    data = [srEmA.data, srEmA.data]
-    if siE is not None:
-        rows += [siE.row, siE.row + r]
-        cols += [siE.col + r, siE.col]
-        data += [-siE.data, siE.data]
-    # Eigenvalue columns and normalization rows are dense by nature.
-    rows += [arange_r, arange_r, arange_r + r, arange_r + r,
-             np.full(r, 2 * r), np.full(r, 2 * r),
-             np.full(r, 2 * r + 1), np.full(r, 2 * r + 1)]
-    cols += [np.full(r, 2 * r), np.full(r, 2 * r + 1),
-             np.full(r, 2 * r), np.full(r, 2 * r + 1),
-             arange_r, arange_r + r, arange_r, arange_r + r]
-    data += [Epr, -Epi, Epi, Epr, pr, -pi, pi, pr]
-    M = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(2 * r + 2, 2 * r + 2)).tocsc()
-    Edpr = Edot @ pr
-    Edpi = Edot @ pi
-    h = np.concatenate([
-        Adot @ pr - sr * Edpr + si * Edpi,
-        Adot @ pi - si * Edpr - sr * Edpi,
-        [0.0, 0.0],
-    ])
+    phi, s = state.phi, state.s
+    r = len(phi)
+    P = (s * E - A).tocoo()
+    border = np.arange(r)
+    rows = np.concatenate([P.row, border, np.full(r, r)])
+    cols = np.concatenate([P.col, np.full(r, r), border])
+    data = np.concatenate([P.data, E @ phi, phi])
+    M = sp.csc_matrix((data, (rows, cols)), shape=(r + 1, r + 1))
+    h = np.append(sample.Adot @ phi - s * (sample.Edot @ phi), 0.0)
     return M, h
 
 
-def _unpack(y: np.ndarray, r: int):
-    phi = y[:r] + 1j * y[r:2 * r]
-    s = complex(y[2 * r], y[2 * r + 1])
-    return phi, s
-
-
-def _pack(state: TrackerState) -> np.ndarray:
-    return np.concatenate([state.phi.real, state.phi.imag,
-                           [state.s.real, state.s.imag]])
-
-
 def predict_fem(sample, state: TrackerState, dp: float) -> TrackerState:
-    """One explicit Euler step of length dp on M y' = h."""
+    """One explicit Euler step of length dp on M [phi'; s'] = h."""
     M, h = assemble_system(sample, state)
     ydot = lu_factor(M).solve(h)
-    y = _pack(state) + dp * ydot
-    phi, s = _unpack(y, len(state.phi))
-    return TrackerState(phi=phi, s=s, p=state.p + dp, c=state.c)
+    return TrackerState(phi=state.phi + dp * ydot[:-1],
+                        s=complex(state.s + dp * ydot[-1]),
+                        p=state.p + dp, c=state.c)
 
 
 def predict_rk4(provider, state: TrackerState, dp: float,
                 h_p: Optional[float] = None) -> TrackerState:
     """Classical 4-stage Runge-Kutta step; matrices rebuilt per stage."""
-    r = len(state.phi)
     p0 = state.p
     sample0 = provider.sample(p0, h_p)
     if provider.affine_in_p:
@@ -324,30 +280,29 @@ def predict_rk4(provider, state: TrackerState, dp: float,
             return provider.sample(p, h_p)
 
     def F(p, y):
-        phi, s = _unpack(y, r)
-        st = TrackerState(phi=phi, s=s, p=p, c=state.c)
+        st = TrackerState(phi=y[:-1], s=complex(y[-1]), p=p, c=state.c)
         smp = sample0 if p == p0 else stage_sample(p)
         M, h = assemble_system(smp, st)
         return lu_factor(M).solve(h)
 
-    y0 = _pack(state)
+    y0 = np.append(state.phi, state.s)
     k1 = F(p0, y0)
     k2 = F(p0 + dp / 2, y0 + dp / 2 * k1)
     k3 = F(p0 + dp / 2, y0 + dp / 2 * k2)
     k4 = F(p0 + dp, y0 + dp * k3)
     y = y0 + dp / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    phi, s = _unpack(y, r)
-    return TrackerState(phi=phi, s=s, p=p0 + dp, c=state.c)
+    return TrackerState(phi=y[:-1], s=complex(y[-1]), p=p0 + dp, c=state.c)
 
 
 def correct_newton(sample, state: TrackerState, tol: float = 1e-10,
                    max_iter: int = 10):
     """Newton refinement onto the exact eigenproblem manifold.
 
-    Solves F(y) = [Re((sE-A)phi); Im((sE-A)phi); Re(phi^T phi - c);
-    Im(phi^T phi - c)] = 0.  The Jacobian shares the mass-matrix block
-    structure with the last two rows doubled (exact derivative of the
-    quadratic normalization).  Returns (state, iterations).
+    Solves G(phi, s) = [(sE-A)phi; phi^T phi - c] = 0 in complex
+    arithmetic (G is analytic: no conjugation).  Its Jacobian is
+    diag(I, 2) M with M from :func:`assemble_system`, so each step
+    solves M delta = -[(sE-A)phi; (phi^T phi - c)/2].
+    Returns (state, iterations).
     """
     E, A = sample.E, sample.A
     st = state.copy()
@@ -373,17 +328,12 @@ def correct_newton(sample, state: TrackerState, tol: float = 1e-10,
         if it == max_iter:
             break
         M, _ = assemble_system(sample, st)
-        r = len(st.phi)
-        row_scale = np.ones(2 * r + 2)
-        row_scale[-2:] = 2.0
-        M = sp.diags(row_scale) @ M
-        F = np.concatenate([Pphi.real, Pphi.imag, [nrm.real, nrm.imag]])
-        delta = lu_factor(M.tocsc()).solve(-F)
-        ds_hist.append(float(np.hypot(delta[2 * r], delta[2 * r + 1])))
-        phi, ds = _unpack(_pack(st) + delta, r)
-        st = TrackerState(phi=phi, s=ds, p=st.p, c=st.c)
-        if not np.all(np.isfinite(_pack(st))):
+        delta = lu_factor(M).solve(-np.append(Pphi, nrm / 2))
+        ds_hist.append(abs(delta[-1]))
+        y = np.append(st.phi, st.s) + delta
+        if not np.all(np.isfinite(y)):
             raise NoConvergence("corrector iterate diverged")
+        st = TrackerState(phi=y[:-1], s=complex(y[-1]), p=st.p, c=st.c)
     raise NoConvergence(f"corrector did not converge in {max_iter} iterations")
 
 
@@ -416,22 +366,17 @@ def perturb_epsilon(state: TrackerState, eps: float) -> TrackerState:
 
 
 def detect_fold(prev: TrackerState, next: TrackerState,
-                cond_estimate: float = 0.0, eps: float = 1e-6,
-                cond_cap: float = 1e12) -> bool:
+                eps: float = 1e-6) -> bool:
     """Fold test between two consecutive accepted states.
 
     Flags a sign flip of the imaginary part, a collapse of a clearly
-    complex eigenvalue onto the real axis, or an exploding mass-matrix
-    condition estimate.
+    complex eigenvalue onto the real axis, or the emergence of a clearly
+    complex eigenvalue from the real axis.
     """
-    pi, ni = prev.s.imag, next.s.imag
-    if min(abs(pi), abs(ni)) >= eps and (pi > 0) != (ni > 0):
+    pi, ni = abs(prev.s.imag), abs(next.s.imag)
+    if min(pi, ni) >= eps and (prev.s.imag > 0) != (next.s.imag > 0):
         return True
-    if abs(ni) < eps and abs(pi) > 10.0 * eps:
-        return True
-    if cond_estimate > cond_cap:
-        return True
-    return False
+    return min(pi, ni) < eps and max(pi, ni) > 10.0 * eps
 
 
 def reinitialize(provider, p: float, reference_phi: np.ndarray,
@@ -481,7 +426,9 @@ def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
     down to dp_min; what survives at dp_min is either accepted as a
     flagged jump (corrector on) or escalated to the re-initialization
     policy.  Raises :class:`TrackingAborted` (carrying the partial
-    trajectory) on unrecoverable failure.
+    trajectory) on unrecoverable failure; any other
+    :class:`EigtrackError` out of a step (a failed re-initialization, a
+    parameter off a tabulated provider's grid) is re-raised as one.
     """
     provider = provider.clone()
     traj = Trajectory()
@@ -504,106 +451,97 @@ def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
     ptol = 1e-12 * max(1.0, abs(cfg.p_init), abs(cfg.p_fin))
     jump_bar = 4.0 * cfg.adapt.hi
 
-    while (cfg.p_fin - state.p) * sgn > ptol:
-        remaining = cfg.p_fin - state.p
-        dp_step = math.copysign(min(abs(dp), abs(remaining)), sgn)
-        cand = None
-        iters = 0
-        failure: Optional[Exception] = None
-        while True:
-            try:
-                if cfg.predictor == "fem":
-                    sample = provider.sample(state.p, cfg.h_p)
-                    cand = predict_fem(sample, state, dp_step)
-                elif cfg.predictor == "rk4":
-                    cand = predict_rk4(provider, state, dp_step, cfg.h_p)
-                else:
-                    cand = state.copy()
-                    cand.p = state.p + dp_step
-                if cfg.corrector is not None:
-                    sample_new = provider.sample(cand.p, cfg.h_p)
-                    cand, iters = correct_newton(
-                        sample_new, cand, tol=cfg.corrector.tol,
-                        max_iter=cfg.corrector.max_iter)
-                failure = None
-            except (SingularMatrix, NoConvergence) as exc:
-                failure = exc
-                cand = None
-            ds = abs(cand.s - state.s) if cand is not None else math.inf
-            needs_retry = failure is not None or (
-                cfg.predictor != "none" and ds > jump_bar)
-            if needs_retry and abs(dp_step) > cfg.dp_min * (1 + 1e-9):
-                dp_step = dp_step / 2.0
-                continue
-            break
-
-        if failure is not None:
-            if cfg.reinit_policy in ("on_fold", "on_failure"):
+    try:
+        while (cfg.p_fin - state.p) * sgn > ptol:
+            remaining = cfg.p_fin - state.p
+            dp_step = math.copysign(min(abs(dp), abs(remaining)), sgn)
+            cand = None
+            iters = 0
+            failure: Optional[Exception] = None
+            while True:
                 try:
+                    if cfg.predictor == "fem":
+                        sample = provider.sample(state.p, cfg.h_p)
+                        cand = predict_fem(sample, state, dp_step)
+                    elif cfg.predictor == "rk4":
+                        cand = predict_rk4(provider, state, dp_step, cfg.h_p)
+                    else:
+                        cand = state.copy()
+                        cand.p = state.p + dp_step
+                    if cfg.corrector is not None:
+                        sample_new = provider.sample(cand.p, cfg.h_p)
+                        cand, iters = correct_newton(
+                            sample_new, cand, tol=cfg.corrector.tol,
+                            max_iter=cfg.corrector.max_iter)
+                    failure = None
+                except (SingularMatrix, NoConvergence) as exc:
+                    failure = exc
+                    cand = None
+                ds = abs(cand.s - state.s) if cand is not None else math.inf
+                needs_retry = failure is not None or (
+                    cfg.predictor != "none" and ds > jump_bar)
+                if needs_retry and abs(dp_step) > cfg.dp_min * (1 + 1e-9):
+                    dp_step = dp_step / 2.0
+                    continue
+                break
+
+            if failure is not None:
+                if cfg.reinit_policy in ("on_fold", "on_failure"):
                     new = reinitialize(provider, state.p + dp_step, state.phi,
                                        s_prev=state.s, c=state.c)
-                except NoCandidate as exc:
-                    raise TrackingAborted(
-                        f"reinitialization failed at p={state.p + dp_step}: {exc}",
-                        trajectory=traj)
-                flags = {"reinitialized"}
-                ds = abs(new.s - state.s)
-                if detect_fold(state, new, eps=eps_ref) or _nature_changed(
-                        state, new, eps_ref):
-                    flags.add("fold_detected")
-                E, A = provider.matrices(new.p)
-                traj.append(_record(new, E, A, dp_step, 0, flags))
-                state = new
-                dp = dp_step
-                if cfg.adapt.enabled:
-                    dp = adapt_step(max(ds, 1e-300), dp, cfg.adapt,
-                                    cfg.dp_min, cfg.dp_max)
-                continue
-            raise TrackingAborted(
-                f"step from p={state.p} failed at dp_min: {failure}",
-                trajectory=traj)
-
-        flags = set()
-        ds = abs(cand.s - state.s)
-        if cfg.predictor != "none" and ds > jump_bar:
-            if cfg.corrector is not None:
-                flags.add("jump_detected")
-            else:
-                E, A = provider.matrices(cand.p)
-                flags.add("jump_detected")
-                traj.append(_record(cand, E, A, dp_step, iters, flags))
+                    flags = {"reinitialized"}
+                    ds = abs(new.s - state.s)
+                    if detect_fold(state, new, eps=eps_ref):
+                        flags.add("fold_detected")
+                    E, A = provider.matrices(new.p)
+                    traj.append(_record(new, E, A, dp_step, 0, flags))
+                    state = new
+                    dp = dp_step
+                    if cfg.adapt.enabled:
+                        dp = adapt_step(max(ds, 1e-300), dp, cfg.adapt,
+                                        cfg.dp_min, cfg.dp_max)
+                    continue
                 raise TrackingAborted(
-                    "predictor-only run cannot certify a trajectory jump "
-                    f"at p={cand.p}", trajectory=traj)
-        fold = detect_fold(state, cand, eps=eps_ref) or _nature_changed(
-            state, cand, eps_ref)
-        if fold:
-            flags.add("fold_detected")
-        E, A = provider.matrices(cand.p)
-        traj.append(_record(cand, E, A, dp_step, iters, flags))
-        prev = state
-        state = cand
-        if fold and cfg.reinit_policy == "on_fold":
-            try:
+                    f"step from p={state.p} failed at dp_min: {failure}",
+                    trajectory=traj)
+
+            flags = set()
+            ds = abs(cand.s - state.s)
+            if cfg.predictor != "none" and ds > jump_bar:
+                if cfg.corrector is not None:
+                    flags.add("jump_detected")
+                else:
+                    E, A = provider.matrices(cand.p)
+                    flags.add("jump_detected")
+                    traj.append(_record(cand, E, A, dp_step, iters, flags))
+                    raise TrackingAborted(
+                        "predictor-only run cannot certify a trajectory jump "
+                        f"at p={cand.p}", trajectory=traj)
+            fold = detect_fold(state, cand, eps=eps_ref)
+            if fold:
+                flags.add("fold_detected")
+            E, A = provider.matrices(cand.p)
+            traj.append(_record(cand, E, A, dp_step, iters, flags))
+            prev = state
+            state = cand
+            if fold and cfg.reinit_policy == "on_fold":
                 new = reinitialize(provider, state.p, state.phi,
                                    s_prev=state.s, c=state.c)
-            except NoCandidate as exc:
-                raise TrackingAborted(
-                    f"post-fold reinitialization failed: {exc}", trajectory=traj)
-            traj.append(_record(new, E, A, 0.0, 0, {"reinitialized"}))
-            state = new
-        if cfg.reperturb and cfg.epsilon_imag and abs(state.s.imag) < eps_ref:
-            state = perturb_epsilon(
-                replace_real(state), cfg.epsilon_imag * max(1.0, abs(state.s)))
-        dp = dp_step
-        if cfg.adapt.enabled:
-            dp = adapt_step(ds, dp, cfg.adapt, cfg.dp_min, cfg.dp_max)
+                traj.append(_record(new, E, A, 0.0, 0, {"reinitialized"}))
+                state = new
+            if cfg.reperturb and cfg.epsilon_imag and abs(state.s.imag) < eps_ref:
+                state = perturb_epsilon(
+                    replace_real(state), cfg.epsilon_imag * max(1.0, abs(state.s)))
+            dp = dp_step
+            if cfg.adapt.enabled:
+                dp = adapt_step(ds, dp, cfg.adapt, cfg.dp_min, cfg.dp_max)
+    except TrackingAborted:
+        raise
+    except EigtrackError as exc:
+        raise TrackingAborted(
+            f"step from p={state.p} stopped by {type(exc).__name__}: {exc}",
+            trajectory=traj) from exc
     return traj
-
-
-def _nature_changed(prev: TrackerState, next: TrackerState, eps: float) -> bool:
-    """Real-to-complex emergence check (mirror of the collapse test)."""
-    return abs(prev.s.imag) < eps and abs(next.s.imag) > 10.0 * eps
 
 
 def replace_real(state: TrackerState) -> TrackerState:

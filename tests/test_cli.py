@@ -17,16 +17,21 @@ def read_rows(path):
     return header, [ln.split(",") for ln in lines[1:]]
 
 
-def write_constant_manifest(tmp_path, p_values, a_value=-2.0, size=2):
-    eye = np.eye(size)
+def write_manifest(tmp_path, p_values, A_of_p):
+    """Manifest of 2x2 pencils E = I, A = A_of_p(p) at each listed p."""
     lines = []
     for k, p in enumerate(p_values):
-        write_matrix_market(tmp_path / f"E{k}.mtx", as_csc(eye))
-        write_matrix_market(tmp_path / f"A{k}.mtx", as_csc(a_value * eye + np.diag([0.0, 1.0])))
-        lines.append(f"{p}\tE{k}.mtx\tA{k}.mtx")
+        write_matrix_market(tmp_path / f"E{k}.mtx", as_csc(np.eye(2)))
+        write_matrix_market(tmp_path / f"A{k}.mtx", as_csc(A_of_p(p)))
+        lines.append(f"{float(p)!r}\tE{k}.mtx\tA{k}.mtx")
     manifest = tmp_path / "manifest.txt"
     manifest.write_text("\n".join(lines) + "\n")
     return manifest
+
+
+def write_constant_manifest(tmp_path, p_values, a_value=-2.0):
+    return write_manifest(tmp_path, p_values,
+                          lambda p: a_value * np.eye(2) + np.diag([0.0, 1.0]))
 
 
 class TestTrack:
@@ -100,6 +105,25 @@ class TestTrack:
                    "--target-ref", str(ref), "--corrector", "--out", str(out)])
         assert rc == EXIT_OK
         assert Trajectory.from_csv(out)[0].s == pytest.approx(want.s, abs=1e-8)
+
+    def test_off_grid_step_aborts_with_partial_csv(self, tmp_path, capsys):
+        # Step halving at the fold asks the tabulated provider for a p
+        # between its grid points: a typed abort, not a config error.
+        # Companion fold pencil A = [[0, 1], [-p, -2]] on a 31-point grid.
+        manifest = write_manifest(tmp_path, np.linspace(2, 0.5, 31),
+                                  lambda p: np.array([[0.0, 1.0], [-p, -2.0]]))
+        out = tmp_path / "traj.csv"
+        rc = main(["track", "--manifest", str(manifest),
+                   "--from", "2", "--to", "0.5", "--dp", "-0.05",
+                   "--target-index", "0", "--corrector",
+                   "--reinit", "on_failure", "--out", str(out)])
+        assert rc == EXIT_ABORTED
+        assert "OffGrid" in capsys.readouterr().err
+        traj = Trajectory.from_csv(out)
+        assert traj[0].p == 2.0
+        assert len(traj) > 1
+        assert np.all(np.diff(traj.p_values) < 0)
+        assert traj[-1].p > 1.0
 
     def test_no_selector_is_config_error(self, tmp_path):
         rc = main(["track", "--model", "companion",
@@ -228,17 +252,3 @@ class TestSpectrum:
         assert rc == EXIT_OK
         _, rows = read_rows(out)
         assert len(rows) == 18
-
-
-class TestBench:
-    def test_smoke_report(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        rc = main(["bench", "--model", "companion",
-                   "--from", "2", "--to", "1.5", "--dp", "0.1",
-                   "--target-index", "0", "--corrector", "--out", str(out)])
-        assert rc == EXIT_OK
-        report = json.loads(out.read_text())
-        assert set(report) == {"continuation", "repeated_eig", "per_step_speedup"}
-        assert report["continuation"]["steps"] >= 1
-        printed = json.loads(capsys.readouterr().out)
-        assert printed["per_step_speedup"] == report["per_step_speedup"]

@@ -1,5 +1,5 @@
-"""Continuation core: split system, predictors, corrector, adaptation,
-fold handling, re-initialization, and the full tracking loop."""
+"""Continuation core: complex bordered system, predictors, corrector,
+adaptation, fold handling, re-initialization, and the full tracking loop."""
 
 import concurrent.futures
 
@@ -8,14 +8,14 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from eigtrack.dae import PencilSample
+from eigtrack.dae import ModelPencilProvider, PencilSample
 from eigtrack.errors import (
     DegenerateVector,
     NoCandidate,
     NoConvergence,
     TrackingAborted,
 )
-from eigtrack.linalg import as_csc, eig_dense
+from eigtrack.linalg import as_csc, eig_dense, lu_factor
 from eigtrack.models import companion_eigenvalues
 from eigtrack.spectrum import full_spectrum, mac
 from eigtrack.tracker import (
@@ -108,28 +108,57 @@ class TestAssembleSystem:
         adot = 0.37
         state = TrackerState(phi=np.array([1.0 + 0j]), s=-1.0, p=0.0)
         M, h = assemble_system(scalar_sample(-1.0, adot=adot), state)
-        assert np.allclose(M.toarray(), [[0, 0, 1, 0],
-                                         [0, 0, 0, 1],
-                                         [1, 0, 0, 0],
-                                         [0, 1, 0, 0]])
-        assert np.allclose(h, [adot, 0, 0, 0])
+        assert M.shape == (2, 2)
+        assert np.iscomplexobj(M.toarray())
+        assert np.allclose(M.toarray(), [[0, 1], [1, 0]])
+        assert np.allclose(h, [adot, 0])
         ydot = np.linalg.solve(M.toarray(), h)
-        assert np.allclose(ydot, [0, 0, adot, 0])
+        assert np.allclose(ydot, [0, adot])
 
     def test_stationary_pencil_gives_zero_rhs(self):
         state = TrackerState(phi=np.array([1.0 + 0j]), s=-1.0, p=0.0)
         _, h = assemble_system(scalar_sample(-1.0, adot=0.0), state)
         assert np.allclose(h, 0.0)
 
-    def test_imaginary_rows_follow_adot_phi(self):
-        # With a complex eigenvector, rows r+1..2r carry Im(Adot phi).
+    def test_complex_rhs_is_adot_minus_s_edot_phi(self):
+        # Complex pair: the first r entries of h are (Adot - s Edot) phi.
+        Edot = np.array([[0.5, 0.0], [0.0, -0.25]])
+        Adot = np.array([[1.0, 2.0], [0.0, 1.0]])
         sample = PencilSample(
             E=as_csc(np.eye(2)), A=as_csc(np.array([[-1.0, 1.0], [-1.0, -1.0]])),
-            Edot=as_csc(np.zeros((2, 2))), Adot=as_csc(np.eye(2)), p=0.0)
+            Edot=as_csc(Edot), Adot=as_csc(Adot), p=0.0)
         phi = np.array([1.0, 1.0j]) / np.sqrt(1 + 0j)
-        state = TrackerState(phi=phi, s=-1.0 + 1.0j, p=0.0)
-        _, h = assemble_system(sample, state)
-        assert np.linalg.norm(h[2:4]) > 0
+        s = -1.0 + 1.0j
+        state = TrackerState(phi=phi, s=s, p=0.0)
+        M, h = assemble_system(sample, state)
+        assert M.shape == (3, 3)
+        assert np.allclose(h[:2], (Adot - s * Edot) @ phi)
+        assert h[2] == 0
+        dense = M.toarray()
+        assert np.allclose(dense[:2, :2], s * np.eye(2) - sample.A.toarray())
+        assert np.allclose(dense[:2, 2], phi)
+        assert np.allclose(dense[2, :2], phi)
+
+    def test_singular_e_velocity_matches_oracle(self, coupled_dae_model):
+        # Pencil form of a DAE: E = [[T, R], [0, 0]] is singular.  For each
+        # finite eigenvalue, the s' solved from the bordered system must
+        # match a central difference of the dense oracle's eigenvalue.
+        provider = ModelPencilProvider(coupled_dae_model, form="pencil")
+        p, h = 0.3, 1e-3
+        sample = provider.sample(p, h_p=1e-4)
+        assert np.linalg.matrix_rank(sample.E.toarray()) < provider.r
+
+        def oracle(q, s0):
+            return min((e.s for e in full_spectrum(provider, q)),
+                       key=lambda z: abs(z - s0))
+
+        for pair in full_spectrum(provider, p, pencil_coords=True):
+            state = init_from_eigenpair(sample.E, sample.A, pair.s, pair.right,
+                                        p=p)
+            M, rhs = assemble_system(sample, state)
+            sdot = lu_factor(M).solve(rhs)[-1]
+            central = (oracle(p + h, pair.s) - oracle(p - h, pair.s)) / (2 * h)
+            assert abs(sdot - central) <= 1e-4 * max(1.0, abs(central))
 
 
 class TestPredictors:
@@ -260,10 +289,11 @@ class TestDetectFold:
         nxt = TrackerState(phi=np.ones(1, complex), s=-1.0 - 0.5j, p=0.1)
         assert detect_fold(prev, nxt, eps=1e-6)
 
-    def test_condition_cap(self):
-        prev = TrackerState(phi=np.ones(1, complex), s=-1.0 + 0.05j, p=0.0)
-        nxt = TrackerState(phi=np.ones(1, complex), s=-1.0 + 0.04j, p=0.1)
-        assert detect_fold(prev, nxt, cond_estimate=1e13)
+    def test_emergence_flagged(self):
+        # A real eigenvalue turning clearly complex (splitting off a fold).
+        prev = TrackerState(phi=np.ones(1, complex), s=-1.0 + 1e-9j, p=0.0)
+        nxt = TrackerState(phi=np.ones(1, complex), s=-1.0 + 0.05j, p=0.1)
+        assert detect_fold(prev, nxt, eps=1e-6)
 
 
 class TestReinitialize:
