@@ -62,7 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrector-tol", type=float)
     p.add_argument("--adaptive", action="store_true", default=None)
     p.add_argument("--eps", type=float, help="imaginary perturbation size")
-    p.add_argument("--reinit", choices=["never", "on_fold", "on_failure"])
+    p.add_argument("--reinit", choices=["never", "on_fold", "on_failure"],
+                   help="restart from a full spectrum: never (default; a "
+                   "step failing at the minimum dp aborts), on_fold (after "
+                   "each fold-flagged step; failures abort), on_failure "
+                   "(in place of a step failing at the minimum dp)")
     p.add_argument("--json-out", help="also write a JSON trajectory here")
     p.add_argument("--vectors", action="store_true", default=None,
                    help="embed eigenvectors in the JSON output")

@@ -355,46 +355,50 @@ class ModelPencilProvider:
     the previous solution), linearizes by finite differences, and
     assembles the pencil.  ``form="reduced"`` eliminates the algebraic
     variables so the tracker runs on the dense n-by-n state matrix with
-    E = I instead of the sparse (n+m) pencil.
+    E = I instead of the sparse (n+m) pencil.  One memo entry per p
+    holds the blocks and the ``(E, A)`` built from them, so every later
+    ``matrices``/``sample`` call at that p (the next step's predictor,
+    the trajectory record, the derivative stencil) reuses them; callers
+    must not modify the returned matrices.
     """
 
-    def __init__(self, model: DaeModel, form: str = "pencil",
-                 h_x: float = 1e-7, fd_scheme: str = "forward"):
+    def __init__(self, model: DaeModel, form: str = "pencil"):
         if form not in ("pencil", "reduced"):
             raise ValueError(f"unknown form {form!r}")
         self.model = model
         self.form = form
-        self.h_x = h_x
-        self.fd_scheme = fd_scheme
         self.n = model.n
         self.m = model.m if form == "pencil" else 0
         self.r = model.n + self.m
         self.affine_in_p = model.affine_in_p
         self._eq_guess = model.guess
-        self._blocks_cache: dict[float, ModelBlocks] = {}
+        self._cache: dict[float, tuple] = {}
 
     def clone(self) -> "ModelPencilProvider":
-        return ModelPencilProvider(self.model, form=self.form,
-                                   h_x=self.h_x, fd_scheme=self.fd_scheme)
+        return ModelPencilProvider(self.model, form=self.form)
 
-    def blocks(self, p: float) -> ModelBlocks:
-        blocks = self._blocks_cache.get(p)
-        if blocks is None:
+    def _entry(self, p: float):
+        """Memo entry ``(blocks, (E, A))`` at p, built on first use."""
+        got = self._cache.get(p)
+        if got is None:
             eq = solve_equilibrium(self.model, p, self._eq_guess)
             self._eq_guess = (eq.x0, eq.y0)
-            blocks = fd_jacobians(self.model, eq, h_x=self.h_x,
-                                  scheme=self.fd_scheme)
-            if len(self._blocks_cache) > 64:
-                self._blocks_cache.clear()
-            self._blocks_cache[p] = blocks
-        return blocks
+            blocks = fd_jacobians(self.model, eq)
+            if self.form == "reduced":
+                pencil = (as_csc(sp.identity(self.n, format="csc")),
+                          as_csc(reduce_state_matrix(blocks)))
+            else:
+                pencil = assemble_pencil(blocks)
+            if len(self._cache) > 64:
+                self._cache.clear()
+            got = self._cache[p] = (blocks, pencil)
+        return got
+
+    def blocks(self, p: float) -> ModelBlocks:
+        return self._entry(p)[0]
 
     def matrices(self, p: float):
-        blocks = self.blocks(p)
-        if self.form == "reduced":
-            A = as_csc(reduce_state_matrix(blocks))
-            return as_csc(sp.identity(self.n, format="csc")), A
-        return assemble_pencil(blocks)
+        return self._entry(p)[1]
 
     def sample(self, p: float, h_p: Optional[float] = None) -> PencilSample:
         E, A = self.matrices(p)
@@ -402,6 +406,8 @@ class ModelPencilProvider:
         return PencilSample(E=E, A=A, Edot=Edot, Adot=Adot, p=p)
 
     def reduced(self, p: float) -> np.ndarray:
+        if self.form == "reduced":
+            return self.matrices(p)[1].toarray()
         return reduce_state_matrix(self.blocks(p))
 
     def lift(self, p: float, phi_x: np.ndarray) -> np.ndarray:

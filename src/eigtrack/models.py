@@ -193,88 +193,169 @@ def _apply_param(spec: MultiMachineSpec, name: str, p: float) -> MultiMachineSpe
                      f"expected one of {_SWEEPABLE}")
 
 
+def _line_arrays(spec: MultiMachineSpec):
+    """Line endpoints and susceptances as arrays, plus per-bus sums of b."""
+    fr, to, b = (np.array(col) for col in zip(*spec.lines()))
+    bsum = np.bincount(fr, b, spec.n_bus) + np.bincount(to, b, spec.n_bus)
+    return fr, to, b, bsum
+
+
+def _network(lines, theta, v):
+    """Injections (P, Q) that the lossless network draws from every bus.
+
+    Line (i, j, b) carries v_i v_j b sin(theta_i - theta_j) from i to j
+    and takes b (v_i^2 - v_i v_j cos(theta_i - theta_j)) of reactive
+    power from each end.
+    """
+    fr, to, b, bsum = lines
+    nb = len(theta)
+    d = theta[fr] - theta[to]
+    vv = v[fr] * v[to] * b
+    vsin = vv * np.sin(d)
+    vcos = vv * np.cos(d)
+    P = np.bincount(to, vsin, nb) - np.bincount(fr, vsin, nb)
+    Q = np.bincount(fr, vcos, nb) + np.bincount(to, vcos, nb) - bsum * v ** 2
+    return P, Q
+
+
+class _FlowEquations:
+    """Power-flow mismatch and its analytic Jacobian for one slack choice.
+
+    The unknowns ``u`` are [non-slack bus angles; load-bus voltages]
+    and the mismatch is [P at non-slack buses; Q at load buses]: the
+    network injections plus machine dispatch minus the voltage-dependent
+    load.  Machine buses other than the slack inject their setpoint
+    (``load_p``, or the value ``pinned`` gives) and hold ``v_set``.
+    """
+
+    def __init__(self, spec: MultiMachineSpec, lines, slack: int,
+                 pinned: dict):
+        k, nb = spec.n_mach, spec.n_bus
+        self.spec = spec
+        self.lines = lines
+        self.nonslack = np.delete(np.arange(nb), slack)
+        self.load_buses = np.arange(k, nb)
+        # positions of the unknowns in [theta; v] and of the mismatch
+        # rows in [P; Q]
+        self.rows = np.concatenate([self.nonslack, nb + self.load_buses])
+        self.dispatch = np.zeros(nb)
+        self.dispatch[:k] = spec.load_p
+        for i, val in pinned.items():
+            self.dispatch[i] = val
+        self.dispatch[slack] = 0.0
+        scale = 1.0 + spec.mu
+        self.demand_p = np.zeros(nb)
+        self.demand_q = np.zeros(nb)
+        self.demand_p[k:] = scale * spec.load_p
+        self.demand_q[k:] = scale * spec.load_q
+        # (row, col) in the full 2nb x 2nb Jacobian of each per-line
+        # partial, in the order ``jacobian`` lists them
+        fr, to = lines[0], lines[1]
+        self._jr = np.concatenate(
+            [fr, fr, to, to, nb + fr, nb + fr, nb + to, nb + to] * 2)
+        self._jc = np.concatenate([fr, to] * 4 + [nb + fr, nb + to] * 4)
+
+    def flat_start(self) -> np.ndarray:
+        u = np.zeros(len(self.rows))
+        u[len(self.nonslack):] = self.spec.v_set
+        return u
+
+    def buses(self, u):
+        """Bus angles and voltage magnitudes for the unknowns u."""
+        nb = self.spec.n_bus
+        theta = np.zeros(nb)
+        theta[self.nonslack] = u[:nb - 1]
+        v = np.full(nb, self.spec.v_set)
+        v[self.load_buses] = u[nb - 1:]
+        return theta, v
+
+    def mismatch(self, u) -> np.ndarray:
+        spec = self.spec
+        theta, v = self.buses(u)
+        P, Q = _network(self.lines, theta, v)
+        shape = spec.z * v ** 2 + (1.0 - spec.z)
+        P += self.dispatch - self.demand_p * shape
+        Q -= self.demand_q * shape
+        return np.concatenate([P, Q])[self.rows]
+
+    def jacobian(self, u) -> np.ndarray:
+        """d mismatch / du, assembled from per-line partials.
+
+        With c = b cos(theta_i - theta_j) and s = b sin(theta_i -
+        theta_j) on line (i, j): the flow v_i v_j s has angle partials
+        (v_i v_j c, -v_i v_j c) and voltage partials (v_j s, v_i s); the
+        term v_i v_j c in both ends' Q has angle partials (-v_i v_j s,
+        v_i v_j s) and voltage partials (v_j c, v_i c).
+        """
+        spec = self.spec
+        fr, to, b, bsum = self.lines
+        nb = spec.n_bus
+        theta, v = self.buses(u)
+        d = theta[fr] - theta[to]
+        bs, bc = b * np.sin(d), b * np.cos(d)
+        vv = v[fr] * v[to]
+        vs, vc = vv * bs, vv * bc
+        s_fr, s_to = v[to] * bs, v[fr] * bs
+        c_fr, c_to = v[to] * bc, v[fr] * bc
+        vals = np.concatenate([
+            -vc, vc, vc, -vc,           # dP/dtheta
+            -vs, vs, -vs, vs,           # dQ/dtheta
+            -s_fr, -s_to, s_fr, s_to,   # dP/dv
+            c_fr, c_to, c_fr, c_to,     # dQ/dv
+        ])
+        J = np.bincount(self._jr * (2 * nb) + self._jc, vals, (2 * nb) ** 2)
+        J = J.reshape(2 * nb, 2 * nb)
+        diag = np.arange(nb)
+        load_slope = 2.0 * spec.z * v
+        J[diag, nb + diag] -= self.demand_p * load_slope
+        J[nb + diag, nb + diag] -= 2.0 * bsum * v + self.demand_q * load_slope
+        return J[np.ix_(self.rows, self.rows)]
+
+
 class _PowerFlow:
     """Steady-state solution of the network for one parameter value.
 
+    ``spec`` is the swept spec at that value.  Newton with the analytic
+    Jacobian of :class:`_FlowEquations` runs from a flat start.
     Machine bus 0 starts as slack; if its computed dispatch exceeds the
     machine's active power limit, the flow is re-solved with that
     machine pinned at the limit, bus 1 taking over as slack, and the
     governor of the limited machine marked saturated.
     """
 
-    def __init__(self, spec: MultiMachineSpec):
-        spec.check_connected()
+    def __init__(self, spec: MultiMachineSpec, lines):
         self.spec = spec
-        k = spec.n_mach
-        self.dispatch_base = [spec.load_p] * k  # non-slack machine setpoints
-        theta, vmag, pgen, saturated = self._solve(slack=0, pinned={})
+        self.lines = lines
+        theta, vmag, pgen, qgen = self._solve(slack=0, pinned={})
+        saturated = set()
         if pgen[0] > spec.p_max[0]:
-            theta, vmag, pgen, saturated = self._solve(
+            theta, vmag, pgen, qgen = self._solve(
                 slack=1, pinned={0: spec.p_max[0]})
             saturated = {0}
         self.theta = theta
         self.vmag = vmag
         self.pgen = pgen
         self.saturated = saturated
-        self._init_machines()
-
-    def _loads(self, v: np.ndarray):
-        spec = self.spec
-        scale = 1.0 + spec.mu
-        shape = spec.z * v ** 2 + (1.0 - spec.z)
-        return scale * spec.load_p * shape, scale * spec.load_q * shape
+        self.droop = np.asarray(spec.droop, dtype=float)
+        self.gov_free = np.ones(spec.n_mach)
+        self.gov_free[list(saturated)] = 0.0
+        # EMF behind transient reactance from the bus solution
+        k = spec.n_mach
+        vbus = vmag[:k] * np.exp(1j * theta[:k])
+        current = np.conj((pgen + 1j * qgen) / vbus)
+        e = vbus + 1j * spec.xd * current
+        self.emf = np.abs(e)
+        self.delta0 = np.angle(e)
 
     def _solve(self, slack: int, pinned: dict):
-        spec = self.spec
-        k, nb = spec.n_mach, spec.n_bus
-        lines = spec.lines()
-        mach_buses = list(range(k))
-        load_buses = list(range(k, nb))
-        nonslack = [b for b in range(nb) if b != slack]
-
-        def dispatch(i):
-            if i in pinned:
-                return pinned[i]
-            return self.dispatch_base[i]
-
-        def mismatch(u):
-            theta = np.zeros(nb)
-            theta[nonslack] = u[: nb - 1]
-            v = np.full(nb, spec.v_set)
-            v[load_buses] = u[nb - 1:]
-            pl, ql = self._loads(v[load_buses])
-            P = np.zeros(nb)
-            Q = np.zeros(nb)
-            for i, j, b in lines:
-                pij = v[i] * v[j] * b * math.sin(theta[i] - theta[j])
-                P[i] -= pij
-                P[j] += pij
-                Q[i] -= b * (v[i] ** 2 - v[i] * v[j] * math.cos(theta[i] - theta[j]))
-                Q[j] -= b * (v[j] ** 2 - v[i] * v[j] * math.cos(theta[i] - theta[j]))
-            for i in mach_buses:
-                if i != slack:
-                    P[i] += dispatch(i)
-            for idx, b in enumerate(load_buses):
-                P[b] -= pl[idx]
-                Q[b] -= ql[idx]
-            return np.concatenate([P[nonslack], Q[load_buses]]), theta, v
-
-        nun = (nb - 1) + k
-        u = np.zeros(nun)
-        u[nb - 1:] = spec.v_set
+        eqs = _FlowEquations(self.spec, self.lines, slack, pinned)
+        u = eqs.flat_start()
         for _ in range(50):
-            F, theta, v = mismatch(u)
+            F = eqs.mismatch(u)
             if np.max(np.abs(F)) < 1e-12:
                 break
-            J = np.empty((nun, nun))
-            for j in range(nun):
-                h = 1e-7 * (1.0 + abs(u[j]))
-                up = u.copy()
-                up[j] += h
-                Fp, _, _ = mismatch(up)
-                J[:, j] = (Fp - F) / h
             try:
-                step = np.linalg.solve(J, -F)
+                step = np.linalg.solve(eqs.jacobian(u), -F)
             except np.linalg.LinAlgError as exc:
                 raise NoConvergence(f"power flow Jacobian singular: {exc}")
             u = u + step
@@ -282,39 +363,22 @@ class _PowerFlow:
                 raise NoConvergence("power flow iterate diverged")
         else:
             raise NoConvergence("power flow did not converge (loadability limit?)")
-        # recover generated active/reactive power at machine buses
-        pgen = np.zeros(k)
-        qgen = np.zeros(k)
-        for i, j, b in lines:
-            pij = v[i] * v[j] * b * math.sin(theta[i] - theta[j])
-            qi = b * (v[i] ** 2 - v[i] * v[j] * math.cos(theta[i] - theta[j]))
-            qj = b * (v[j] ** 2 - v[i] * v[j] * math.cos(theta[j] - theta[i]))
-            if i < k:
-                pgen[i] += pij
-                qgen[i] += qi
-            if j < k:
-                pgen[j] -= pij
-                qgen[j] += qj
-        self._qgen = qgen
-        return theta, v, pgen, set()
-
-    def _init_machines(self):
-        """EMF behind transient reactance from the bus solution."""
-        spec = self.spec
-        k = spec.n_mach
-        self.emf = np.zeros(k)
-        self.delta0 = np.zeros(k)
-        for i in range(k):
-            vbus = self.vmag[i] * np.exp(1j * self.theta[i])
-            s_inj = self.pgen[i] + 1j * self._qgen[i]
-            current = np.conj(s_inj / vbus)
-            e = vbus + 1j * spec.xd * current
-            self.emf[i] = abs(e)
-            self.delta0[i] = np.angle(e)
+        # generated active/reactive power at machine buses: what the
+        # network draws from them
+        theta, v = eqs.buses(u)
+        P, Q = _network(self.lines, theta, v)
+        k = self.spec.n_mach
+        return theta, v, -P[:k], -Q[:k]
 
 
 class _MultiMachine:
-    """Closures plus per-parameter power-flow cache for the DAE form."""
+    """Vectorised f/g closures plus a per-parameter power-flow cache.
+
+    Per-machine quantities are numpy slices of the state (``x[0::pm]``
+    angles, ``x[1::pm]`` speeds, ``x[2::pm]`` governor outputs) and the
+    network sums use the line arrays built once here.  The swept spec
+    comes from the cached power flow at p.
+    """
 
     def __init__(self, spec: MultiMachineSpec, param: str):
         if param not in _SWEEPABLE:
@@ -322,12 +386,17 @@ class _MultiMachine:
         spec.check_connected()
         self.spec = spec
         self.param = param
+        self.lines = _line_arrays(spec)
+        self.damping = np.asarray(spec.damping, dtype=float)
+        self.per_mach = 3 if spec.governors else 2
+        self.n = self.per_mach * spec.n_mach
+        self.m = 2 * spec.n_bus + spec.n_mach
         self._pf_cache: dict[float, _PowerFlow] = {}
 
     def pf(self, p: float) -> _PowerFlow:
         got = self._pf_cache.get(p)
         if got is None:
-            got = _PowerFlow(_apply_param(self.spec, self.param, p))
+            got = _PowerFlow(_apply_param(self.spec, self.param, p), self.lines)
             if len(self._pf_cache) > 64:
                 self._pf_cache.clear()
             self._pf_cache[p] = got
@@ -335,86 +404,47 @@ class _MultiMachine:
 
     # state layout per machine: delta, omega[, gov]; algebraic layout:
     # theta (n_bus), vmag (n_bus), electrical power (n_mach)
-    @property
-    def per_mach(self) -> int:
-        return 3 if self.spec.governors else 2
-
-    @property
-    def n(self) -> int:
-        return self.per_mach * self.spec.n_mach
-
-    @property
-    def m(self) -> int:
-        return 2 * self.spec.n_bus + self.spec.n_mach
-
     def split_y(self, y):
         nb = self.spec.n_bus
         return y[:nb], y[nb:2 * nb], y[2 * nb:]
 
     def f(self, x, y, p):
-        spec = _apply_param(self.spec, self.param, p)
         pf = self.pf(p)
-        k = spec.n_mach
+        spec = pf.spec
         pm = self.per_mach
-        theta, vmag, pe = self.split_y(y)
+        pe = self.split_y(y)[2]
+        omega = x[1::pm]
+        gov = x[2::pm] if spec.governors else 0.0
         out = np.empty(self.n)
-        for i in range(k):
-            delta = x[pm * i]
-            omega = x[pm * i + 1]
-            gov = x[pm * i + 2] if spec.governors else 0.0
-            out[pm * i] = spec.omega_b * omega
-            out[pm * i + 1] = pf.pgen[i] + gov - pe[i] - spec.damping[i] * omega
-            if spec.governors:
-                if i in pf.saturated:
-                    out[pm * i + 2] = -gov
-                else:
-                    out[pm * i + 2] = -omega / spec.droop[i] - gov
+        out[0::pm] = spec.omega_b * omega
+        out[1::pm] = pf.pgen + gov - pe - self.damping * omega
+        if spec.governors:
+            out[2::pm] = -(omega / pf.droop) * pf.gov_free - gov
         return out
 
     def g(self, x, y, p):
-        spec = _apply_param(self.spec, self.param, p)
         pf = self.pf(p)
-        k, nb = spec.n_mach, spec.n_bus
-        pm = self.per_mach
+        spec = pf.spec
+        k = spec.n_mach
         theta, vmag, pe = self.split_y(y)
+        P, Q = _network(self.lines, theta, vmag)
+        dth = x[0::self.per_mach] - theta[:k]
+        emf_v = pf.emf * vmag[:k]
+        pe_true = (emf_v / spec.xd) * np.sin(dth)
+        P[:k] += pe_true
+        Q[:k] += (emf_v * np.cos(dth) - vmag[:k] ** 2) / spec.xd
         scale = 1.0 + spec.mu
-        out = np.zeros(self.m)
-        P = np.zeros(nb)
-        Q = np.zeros(nb)
-        for i, j, b in spec.lines():
-            pij = vmag[i] * vmag[j] * b * math.sin(theta[i] - theta[j])
-            P[i] -= pij
-            P[j] += pij
-            Q[i] -= b * (vmag[i] ** 2
-                         - vmag[i] * vmag[j] * math.cos(theta[i] - theta[j]))
-            Q[j] -= b * (vmag[j] ** 2
-                         - vmag[i] * vmag[j] * math.cos(theta[j] - theta[i]))
-        for i in range(k):
-            delta = x[pm * i]
-            pe_true = (pf.emf[i] * vmag[i] / spec.xd) * math.sin(delta - theta[i])
-            out[i] = pe_true - pe[i]
-            P[i] += pe_true
-            Q[i] += (pf.emf[i] * vmag[i] * math.cos(delta - theta[i])
-                     - vmag[i] ** 2) / spec.xd
-        for idx in range(k):
-            b = k + idx
-            shape = spec.z * vmag[b] ** 2 + (1.0 - spec.z)
-            P[b] -= scale * spec.load_p * shape
-            Q[b] -= scale * spec.load_q * shape
-        out[k:k + nb] = P
-        out[k + nb:] = Q
-        return out
+        shape = spec.z * vmag[k:] ** 2 + (1.0 - spec.z)
+        P[k:] -= scale * spec.load_p * shape
+        Q[k:] -= scale * spec.load_q * shape
+        return np.concatenate([pe_true - pe, P, Q])
 
     def equilibrium(self, model, p, guess):
         from .dae import Equilibrium
 
         pf = self.pf(p)
-        spec = _apply_param(self.spec, self.param, p)
-        k = spec.n_mach
-        pm = self.per_mach
         x0 = np.zeros(self.n)
-        for i in range(k):
-            x0[pm * i] = pf.delta0[i]
+        x0[0::self.per_mach] = pf.delta0
         y0 = np.concatenate([pf.theta, pf.vmag, pf.pgen])
         res = max(np.max(np.abs(self.f(x0, y0, p))),
                   np.max(np.abs(self.g(x0, y0, p))))

@@ -423,10 +423,14 @@ def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
     from |Delta s|, and record the accepted state.  A step whose
     corrector fails, or whose eigenvalue displacement exceeds four
     times the high adaptation threshold, is retried with a halved step
-    down to dp_min; what survives at dp_min is either accepted as a
-    flagged jump (corrector on) or escalated to the re-initialization
-    policy.  Raises :class:`TrackingAborted` (carrying the partial
-    trajectory) on unrecoverable failure; any other
+    down to dp_min; a displacement that survives at dp_min is accepted
+    as a flagged jump (corrector on).  ``cfg.reinit_policy`` decides
+    what else restarts from a full spectrum: ``on_failure`` replaces a
+    step that still fails at dp_min, ``on_fold`` follows every
+    fold-flagged accepted step, ``never`` does neither; a failure at
+    dp_min under ``never`` or ``on_fold`` aborts the sweep.  Raises
+    :class:`TrackingAborted` (carrying the partial trajectory) on
+    unrecoverable failure; any other
     :class:`EigtrackError` out of a step (a failed re-initialization, a
     parameter off a tabulated provider's grid) is re-raised as one.
     """
@@ -486,7 +490,7 @@ def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
                 break
 
             if failure is not None:
-                if cfg.reinit_policy in ("on_fold", "on_failure"):
+                if cfg.reinit_policy == "on_failure":
                     new = reinitialize(provider, state.p + dp_step, state.phi,
                                        s_prev=state.s, c=state.c)
                     flags = {"reinitialized"}

@@ -1,9 +1,12 @@
 """Equilibria, finite-difference linearization, pencil assembly/reduction."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from eigtrack import dae
 from eigtrack.dae import (
     DaeModel,
     ModelBlocks,
@@ -290,7 +293,65 @@ class TestModelPencilProvider:
         prov = ModelPencilProvider(coupled_dae_model)
         prov.matrices(0.5)
         other = prov.clone()
-        assert other._blocks_cache == {}
+        assert other._cache == {}
         E1, A1 = prov.matrices(0.5)
         E2, A2 = other.matrices(0.5)
         assert np.allclose(A1.toarray(), A2.toarray())
+
+
+@pytest.fixture
+def dae_calls(monkeypatch):
+    """Counts of the provider's model-layer calls, by function name."""
+    counts = Counter()
+    for name in ("solve_equilibrium", "assemble_pencil", "reduce_state_matrix"):
+        def counted(*args, _fn=getattr(dae, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(dae, name, counted)
+    return counts
+
+
+def droop_model():
+    from eigtrack.models import MultiMachineSpec, make_multimachine
+
+    return make_multimachine(MultiMachineSpec(), param="droop",
+                             p_init=0.2, p_fin=0.02)
+
+
+class TestProviderMemo:
+    @pytest.mark.parametrize("form,builder", [("pencil", "assemble_pencil"),
+                                              ("reduced", "reduce_state_matrix")])
+    def test_second_call_reuses_the_pencil(self, dae_calls, form, builder):
+        model = droop_model()
+        prov = ModelPencilProvider(model, form=form)
+        E, A = prov.matrices(0.1)
+        assert dae_calls == {"solve_equilibrium": 1, builder: 1}
+        E2, A2 = prov.matrices(0.1)
+        smp = prov.sample(0.1)
+        assert E2 is E and A2 is A and smp.E is E and smp.A is A
+        # only the derivative stencil's p + h_p is new
+        assert dae_calls == {"solve_equilibrium": 2, builder: 2}
+        E3, A3 = ModelPencilProvider(model, form=form).matrices(0.1)
+        assert (E3 != E).nnz == 0 and (A3 != A).nnz == 0
+
+    def test_droop_sweep_builds_each_p_once(self, dae_calls):
+        from eigtrack.spectrum import full_spectrum
+        from eigtrack.tracker import (NewtonConfig, TrackerConfig,
+                                      init_from_eigenpair, track)
+
+        steps = 10
+        prov = ModelPencilProvider(droop_model(), form="pencil")
+        pairs = full_spectrum(prov, 0.2, pencil_coords=True)
+        tgt = max((pr for pr in pairs if 0.05 < pr.s.imag < 2.0),
+                  key=lambda pr: pr.s.imag)
+        E, A = prov.matrices(0.2)
+        init = init_from_eigenpair(E, A, tgt.s, tgt.right, p=0.2)
+        cfg = TrackerConfig(p_init=0.2, p_fin=0.2 - steps * 0.0018,
+                            dp_init=-0.0018, predictor="fem",
+                            corrector=NewtonConfig(tol=1e-10, max_iter=12),
+                            epsilon_imag=0.0)
+        dae_calls.clear()
+        traj = track(prov, init, cfg)
+        assert len(traj) == steps + 1
+        assert dae_calls["solve_equilibrium"] <= 2 * steps + 2
+        assert dae_calls["assemble_pencil"] <= 2 * steps + 2

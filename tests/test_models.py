@@ -1,5 +1,7 @@
 """Benchmark model factories, synthetic providers, and file-based pencils."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -22,6 +24,7 @@ from eigtrack.models import (
     make_multimachine,
     sweep_parameter,
 )
+from eigtrack.models import _FlowEquations
 from eigtrack.spectrum import EigenPair, participation_factors
 
 
@@ -250,6 +253,99 @@ class TestMultiMachine:
     def test_spec_field_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             MultiMachineSpec(n_mach=3, droop=[0.05, 0.05])
+
+
+# (spec fields, swept parameter, p): the base case, machine 0 pinned at
+# its governor limit, and a loaded network with voltage-dependent loads
+NETWORK_CASES = {
+    "base": ({}, "droop", 0.05),
+    "saturated": ({}, "p_max_0", 0.7),
+    "loaded": ({"mu": 0.3, "z": 0.5}, "z", 0.5),
+    "no_governors": ({"n_mach": 2, "governors": False}, "inertia_scale", 0.5),
+}
+
+
+def network_case(name):
+    fields, param, p = NETWORK_CASES[name]
+    model = make_multimachine(MultiMachineSpec(**fields), param=param)
+    return model, p
+
+
+def loop_f_g(core, x, y, p):
+    """Per-machine, per-line loop evaluation of the multimachine f and g."""
+    pf = core.pf(p)
+    spec = pf.spec
+    k, nb, pm = spec.n_mach, spec.n_bus, core.per_mach
+    theta, vmag, pe = y[:nb], y[nb:2 * nb], y[2 * nb:]
+    f = np.empty(core.n)
+    for i in range(k):
+        omega = x[pm * i + 1]
+        gov = x[pm * i + 2] if spec.governors else 0.0
+        f[pm * i] = spec.omega_b * omega
+        f[pm * i + 1] = pf.pgen[i] + gov - pe[i] - spec.damping[i] * omega
+        if spec.governors:
+            f[pm * i + 2] = (-gov if i in pf.saturated
+                             else -omega / spec.droop[i] - gov)
+    P = np.zeros(nb)
+    Q = np.zeros(nb)
+    for i, j, b in spec.lines():
+        d = theta[i] - theta[j]
+        pij = vmag[i] * vmag[j] * b * math.sin(d)
+        P[i] -= pij
+        P[j] += pij
+        Q[i] -= b * (vmag[i] ** 2 - vmag[i] * vmag[j] * math.cos(d))
+        Q[j] -= b * (vmag[j] ** 2 - vmag[i] * vmag[j] * math.cos(d))
+    g = np.zeros(core.m)
+    for i in range(k):
+        dth = x[pm * i] - theta[i]
+        pe_true = (pf.emf[i] * vmag[i] / spec.xd) * math.sin(dth)
+        g[i] = pe_true - pe[i]
+        P[i] += pe_true
+        Q[i] += (pf.emf[i] * vmag[i] * math.cos(dth) - vmag[i] ** 2) / spec.xd
+    for b in range(k, nb):
+        shape = spec.z * vmag[b] ** 2 + (1.0 - spec.z)
+        P[b] -= (1.0 + spec.mu) * spec.load_p * shape
+        Q[b] -= (1.0 + spec.mu) * spec.load_q * shape
+    g[k:k + nb] = P
+    g[k + nb:] = Q
+    return f, g
+
+
+class TestNetworkEquations:
+    @pytest.mark.parametrize("case", ["base", "saturated", "loaded"])
+    def test_power_flow_jacobian_matches_central_difference(self, case):
+        model, p = network_case(case)
+        pf = model.core.pf(p)
+        assert pf.saturated == ({0} if case == "saturated" else set())
+        slack, pinned = ((1, {0: 0.7}) if pf.saturated else (0, {}))
+        eqs = _FlowEquations(pf.spec, model.core.lines, slack, pinned)
+        nb = pf.spec.n_bus
+        u = np.concatenate([pf.theta[eqs.nonslack], pf.vmag[eqs.load_buses]])
+        assert np.max(np.abs(eqs.mismatch(u))) < 1e-10
+        rng = np.random.default_rng(3)
+        for point in (u, u + 0.05 * rng.standard_normal(len(u))):
+            J = eqs.jacobian(point)
+            fd = np.empty_like(J)
+            h = 1e-6
+            for j in range(len(point)):
+                e = np.zeros(len(point))
+                e[j] = h
+                fd[:, j] = (eqs.mismatch(point + e)
+                            - eqs.mismatch(point - e)) / (2 * h)
+            assert J.shape == (nb - 1 + pf.spec.n_mach,) * 2
+            assert np.max(np.abs(J - fd)) <= 1e-6 * np.max(np.abs(J))
+
+    @pytest.mark.parametrize("case", sorted(NETWORK_CASES))
+    def test_vectorised_f_g_match_loop_oracle(self, case):
+        model, p = network_case(case)
+        eq = solve_equilibrium(model, p)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            x = eq.x0 + 0.05 * rng.standard_normal(model.n)
+            y = eq.y0 + 0.05 * rng.standard_normal(model.m)
+            f_ref, g_ref = loop_f_g(model.core, x, y, p)
+            assert np.max(np.abs(model.f(x, y, p) - f_ref)) <= 1e-12
+            assert np.max(np.abs(model.g(x, y, p) - g_ref)) <= 1e-12
 
 
 class TestModelSpecFile:

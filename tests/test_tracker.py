@@ -526,6 +526,116 @@ class TestTrack:
                 assert np.array_equal(ra.phi, rb.phi)
 
 
+class SampleBreaksPastHalf:
+    """A(p) = [-1 - p], E = [1]; ``sample`` (not ``matrices``) fails past
+    p = 0.5, so every step beyond it fails at dp_min while a
+    re-initialization from the full spectrum still works."""
+
+    n = r = 1
+    m = 0
+    affine_in_p = True
+
+    def matrices(self, p):
+        return as_csc(np.eye(1)), as_csc(np.array([[-1.0 - p]]))
+
+    def sample(self, p, h_p=None):
+        if p > 0.5:
+            raise NoConvergence("derivatives unavailable past 0.5")
+        E, A = self.matrices(p)
+        return PencilSample(E, A, as_csc(np.zeros((1, 1))),
+                            as_csc(np.array([[-1.0]])), p)
+
+    def reduced(self, p):
+        return self.matrices(p)[1].toarray()
+
+    def lift(self, p, v):
+        return np.asarray(v)
+
+    def clone(self):
+        return self
+
+
+class ImagAxisCrossing:
+    """A(p) = [[-1, k w], [-w/k, -1]], E = I, w = 0.5 - p: the eigenvalue
+    -1 + i w (eigenvector [k, i]) crosses the real axis at p = 0.5
+    through a semisimple double eigenvalue, a fold flag away from any
+    defective point."""
+
+    n = r = 2
+    m = 0
+    affine_in_p = True
+    k = 2.0
+
+    def matrices(self, p):
+        w = 0.5 - p
+        return (as_csc(np.eye(2)),
+                as_csc(np.array([[-1.0, self.k * w], [-w / self.k, -1.0]])))
+
+    def sample(self, p, h_p=None):
+        E, A = self.matrices(p)
+        Adot = as_csc(np.array([[0.0, -self.k], [1.0 / self.k, 0.0]]))
+        return PencilSample(E, A, as_csc(np.zeros((2, 2))), Adot, p)
+
+    def reduced(self, p):
+        return self.matrices(p)[1].toarray()
+
+    def lift(self, p, v):
+        return np.asarray(v)
+
+    def clone(self):
+        return self
+
+
+class TestReinitPolicy:
+    def failing_cfg(self, policy):
+        return TrackerConfig(p_init=0.0, p_fin=1.0, dp_init=0.1,
+                             predictor="fem", corrector=NewtonConfig(),
+                             epsilon_imag=0.0, reinit_policy=policy)
+
+    @pytest.mark.parametrize("policy", ["never", "on_fold"])
+    def test_failure_at_dp_min_aborts(self, policy):
+        state = TrackerState(phi=np.array([1.0 + 0j]), s=-1.0, p=0.0)
+        with pytest.raises(TrackingAborted) as exc_info:
+            track(SampleBreaksPastHalf(), state, self.failing_cfg(policy))
+        traj = exc_info.value.trajectory
+        assert traj[-1].p == pytest.approx(0.5)
+        assert not traj.has_flag("reinitialized")
+
+    def test_on_failure_reinitializes_past_failure(self):
+        state = TrackerState(phi=np.array([1.0 + 0j]), s=-1.0, p=0.0)
+        traj = track(SampleBreaksPastHalf(), state,
+                     self.failing_cfg("on_failure"))
+        assert traj[-1].p == pytest.approx(1.0)
+        past = [rec for rec in traj if rec.p > 0.5]
+        assert past and all("reinitialized" in rec.flags for rec in past)
+        for rec in traj:
+            assert rec.s.real == pytest.approx(-1.0 - rec.p, abs=1e-10)
+
+    @pytest.mark.parametrize("policy", ["never", "on_fold", "on_failure"])
+    def test_reinitializes_after_fold_only_on_fold(self, policy):
+        cfg = TrackerConfig(p_init=0.0, p_fin=1.0, dp_init=0.03,
+                            predictor="fem", corrector=NewtonConfig(),
+                            epsilon_imag=0.0, reinit_policy=policy)
+        prov = ImagAxisCrossing()
+        E, A = prov.matrices(0.0)
+        state = init_from_eigenpair(E, A, -1.0 + 0.5j,
+                                    np.array([ImagAxisCrossing.k, 1j]))
+        traj = track(prov, state, cfg)
+        assert traj[-1].p == pytest.approx(1.0)
+        folds = [i for i, rec in enumerate(traj) if "fold_detected" in rec.flags]
+        assert len(folds) == 1
+        i = folds[0]
+        assert traj[i - 1].s.imag > 0 > traj[i].s.imag
+        if policy == "on_fold":
+            assert traj[i + 1].flags == {"reinitialized"}
+            assert traj[i + 1].p == traj[i].p
+            assert traj[i + 1].s == pytest.approx(traj[i].s, abs=1e-10)
+        else:
+            assert not traj.has_flag("reinitialized")
+        for rec in traj:
+            assert rec.s == pytest.approx(-1.0 + 1j * (0.5 - rec.p), abs=1e-9)
+
+
 class TestConvergenceOrder:
     def endpoint_error(self, provider, predictor, dp):
         state = companion_state(provider, 2.0)
