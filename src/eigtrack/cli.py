@@ -65,8 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reinit", choices=["never", "on_fold", "on_failure"],
                    help="restart from a full spectrum: never (default; a "
                    "step failing at the minimum dp aborts), on_fold (after "
-                   "each fold-flagged step; failures abort), on_failure "
-                   "(in place of a step failing at the minimum dp)")
+                   "each fold-flagged step; failures abort, so it cannot "
+                   "cross a defective fold such as the companion's at "
+                   "p=1), on_failure (in place of a step failing at the "
+                   "minimum dp; crosses defective folds)")
     p.add_argument("--json-out", help="also write a JSON trajectory here")
     p.add_argument("--vectors", action="store_true", default=None,
                    help="embed eigenvectors in the JSON output")

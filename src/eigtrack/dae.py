@@ -7,10 +7,11 @@ derivative coupling ``R(p) x'`` on the left:
     [T 0] [x']   [f(x, y, p)]
     [R 0] [y'] = [g(x, y, p)]
 
-This module solves for equilibria, linearizes by finite differences,
-assembles the sparse pencil matrices (E, A), eliminates the algebraic
-variables to obtain the dense state matrix, and differentiates pencils
-with respect to the continuation parameter.
+This module solves for equilibria, linearizes with the model's analytic
+Jacobians (finite differences when it has none), assembles the sparse
+pencil matrices (E, A), eliminates the algebraic variables to obtain
+the dense state matrix, and differentiates pencils with respect to the
+continuation parameter.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "PencilSample",
     "PencilProvider",
     "solve_equilibrium",
+    "linearize",
     "fd_jacobians",
     "assemble_pencil",
     "reduce_state_matrix",
@@ -62,10 +64,12 @@ class DaeModel:
     ``f`` and ``g`` must be pure functions of ``(x, y, p)``.  ``T`` and
     ``R`` map a parameter value to sparse matrices of shape (n, n) and
     (m, n).  ``jacobians``, when given, returns analytic
-    ``(f_x, f_y, g_x, g_y)`` and is used by tests as an oracle for the
-    finite-difference linearization.  ``equilibrium_solver`` overrides
-    the generic Newton solve for models whose steady state needs
-    special treatment (e.g. an embedded power-flow problem).
+    ``(f_x, f_y, g_x, g_y)`` at ``(x, y, p)`` (dense or sparse) and
+    drives every linearization (:func:`linearize`); models without it
+    fall back to finite differences (:func:`fd_jacobians`).
+    ``equilibrium_solver`` overrides the generic Newton solve for models
+    whose steady state needs special treatment (e.g. an embedded
+    power-flow problem).
     """
 
     n: int
@@ -149,9 +153,10 @@ def solve_equilibrium(model: DaeModel, p: float, guess=None,
         F = resid(x, y)
         if np.max(np.abs(F), initial=0.0) <= eq_tol:
             return Equilibrium(x, y, p)
-        J = _fd_full_jacobian(model, x, y, p)
+        b = linearize(model, Equilibrium(x, y, p))
+        J = sp.bmat([[b.f_x, b.f_y], [b.g_x, b.g_y]], format="csc")
         try:
-            step = lu_factor(as_csc(J)).solve(-F)
+            step = lu_factor(J).solve(-F)
         except SingularMatrix as exc:
             raise NoConvergence(f"singular Jacobian in equilibrium solve: {exc}")
         x = x + step[: model.n]
@@ -166,42 +171,33 @@ def solve_equilibrium(model: DaeModel, p: float, guess=None,
     raise NoConvergence(f"no equilibrium within {max_iter} iterations")
 
 
-def _fd_full_jacobian(model: DaeModel, x, y, p, h: float = 1e-7):
-    """Dense forward-difference Jacobian of [f; g] w.r.t. (x, y)."""
-    if model.jacobians is not None:
-        f_x, f_y, g_x, g_y = (as_csc(B) for B in model.jacobians(x, y, p))
-        top = sp.hstack([f_x, f_y]) if model.m else f_x
-        if model.m:
-            return sp.vstack([top, sp.hstack([g_x, g_y])])
-        return top
-    n, m = model.n, model.m
-    F0 = np.concatenate([model.f(x, y, p),
-                         np.atleast_1d(model.g(x, y, p)) if m else np.empty(0)])
-    J = np.empty((n + m, n + m))
-    for j in range(n + m):
-        if j < n:
-            xp = x.copy()
-            hj = h * (1.0 + abs(x[j]))
-            xp[j] += hj
-            Fp = np.concatenate([model.f(xp, y, p),
-                                 np.atleast_1d(model.g(xp, y, p)) if m else np.empty(0)])
-        else:
-            yp = y.copy()
-            hj = h * (1.0 + abs(y[j - n]))
-            yp[j - n] += hj
-            Fp = np.concatenate([model.f(x, yp, p),
-                                 np.atleast_1d(model.g(x, yp, p)) if m else np.empty(0)])
-        J[:, j] = (Fp - F0) / hj
-    return J
+def _mass_blocks(model: DaeModel, p: float):
+    """``T(p)`` and ``R(p)`` as CSC; R is (0, n) when the model has m = 0."""
+    R = model.R(p) if model.m else sp.csc_matrix((0, model.n))
+    return as_csc(model.T(p)), as_csc(R)
+
+
+def linearize(model: DaeModel, eq: Equilibrium) -> ModelBlocks:
+    """Jacobian blocks at ``eq``: the model's analytic ``jacobians`` when
+    it defines them, finite differences (:func:`fd_jacobians`) otherwise."""
+    if model.jacobians is None:
+        return fd_jacobians(model, eq)
+    f_x, f_y, g_x, g_y = (as_csc(B) for B in model.jacobians(eq.x0, eq.y0, eq.p))
+    T, R = _mass_blocks(model, eq.p)
+    return ModelBlocks(T=T, R=R, f_x=f_x, f_y=f_y, g_x=g_x, g_y=g_y)
 
 
 def fd_jacobians(model: DaeModel, eq: Equilibrium, h_x: float = 1e-7,
                  drop: float = 1e-12, scheme: str = "forward") -> ModelBlocks:
     """Finite-difference Jacobian blocks at an equilibrium.
 
-    Forward differences by default (``scheme="central"`` is available
-    for sensitivity studies).  Entries with magnitude below ``drop``
-    are removed from the sparse result.
+    Always differences ``f`` and ``g``, whether or not the model has
+    analytic ``jacobians``: it is the fallback of :func:`linearize` and
+    the reference the analytic blocks are tested against.  Column j is
+    stepped by ``h_x (1 + |v_j|)``; forward differences by default
+    (``scheme="central"`` for sensitivity studies and oracles).
+    Entries with magnitude below ``drop`` are removed from the sparse
+    result.
     """
     if h_x <= 0:
         raise ValueError("h_x must be positive")
@@ -238,9 +234,9 @@ def fd_jacobians(model: DaeModel, eq: Equilibrium, h_x: float = 1e-7,
         M = np.where(np.abs(M) < drop, 0.0, M)
         return as_csc(M)
 
+    T, R = _mass_blocks(model, p)
     return ModelBlocks(
-        T=as_csc(model.T(p)),
-        R=as_csc(model.R(p)) if m else as_csc(sp.csc_matrix((0, n))),
+        T=T, R=R,
         f_x=sparsify(f_x), f_y=sparsify(f_y),
         g_x=sparsify(g_x), g_y=sparsify(g_y),
     )
@@ -352,14 +348,15 @@ class ModelPencilProvider:
     """Pencil provider backed by a DaeModel.
 
     Per parameter value: re-solves the equilibrium (warm-started from
-    the previous solution), linearizes by finite differences, and
-    assembles the pencil.  ``form="reduced"`` eliminates the algebraic
-    variables so the tracker runs on the dense n-by-n state matrix with
-    E = I instead of the sparse (n+m) pencil.  One memo entry per p
-    holds the blocks and the ``(E, A)`` built from them, so every later
-    ``matrices``/``sample`` call at that p (the next step's predictor,
-    the trajectory record, the derivative stencil) reuses them; callers
-    must not modify the returned matrices.
+    the previous solution), linearizes (:func:`linearize`: analytic
+    Jacobians when the model has them, finite differences otherwise),
+    and assembles the pencil.  ``form="reduced"`` eliminates the
+    algebraic variables so the tracker runs on the dense n-by-n state
+    matrix with E = I instead of the sparse (n+m) pencil.  One memo
+    entry per p holds the blocks and the ``(E, A)`` built from them, so
+    every later ``matrices``/``sample`` call at that p (the next step's
+    predictor, the trajectory record, the derivative stencil) reuses
+    them; callers must not modify the returned matrices.
     """
 
     def __init__(self, model: DaeModel, form: str = "pencil"):
@@ -383,7 +380,7 @@ class ModelPencilProvider:
         if got is None:
             eq = solve_equilibrium(self.model, p, self._eq_guess)
             self._eq_guess = (eq.x0, eq.y0)
-            blocks = fd_jacobians(self.model, eq)
+            blocks = linearize(self.model, eq)
             if self.form == "reduced":
                 pencil = (as_csc(sp.identity(self.n, format="csc")),
                           as_csc(reduce_state_matrix(blocks)))

@@ -218,6 +218,40 @@ def _network(lines, theta, v):
     return P, Q
 
 
+def _network_jacobian(lines, theta, v) -> np.ndarray:
+    """Dense d(P, Q)/d(theta, v) of :func:`_network`, (2 nb) x (2 nb).
+
+    With c = b cos(theta_i - theta_j) and s = b sin(theta_i -
+    theta_j) on line (i, j): the flow v_i v_j s has angle partials
+    (v_i v_j c, -v_i v_j c) and voltage partials (v_j s, v_i s); the
+    term v_i v_j c in both ends' Q has angle partials (-v_i v_j s,
+    v_i v_j s) and voltage partials (v_j c, v_i c); each bus's
+    -bsum v^2 adds -2 bsum v on the Q/v diagonal.
+    """
+    fr, to, b, bsum = lines
+    nb = len(theta)
+    d = theta[fr] - theta[to]
+    bs, bc = b * np.sin(d), b * np.cos(d)
+    vv = v[fr] * v[to]
+    vs, vc = vv * bs, vv * bc
+    s_fr, s_to = v[to] * bs, v[fr] * bs
+    c_fr, c_to = v[to] * bc, v[fr] * bc
+    rows = np.concatenate(
+        [fr, fr, to, to, nb + fr, nb + fr, nb + to, nb + to] * 2)
+    cols = np.concatenate([fr, to] * 4 + [nb + fr, nb + to] * 4)
+    vals = np.concatenate([
+        -vc, vc, vc, -vc,           # dP/dtheta
+        -vs, vs, -vs, vs,           # dQ/dtheta
+        -s_fr, -s_to, s_fr, s_to,   # dP/dv
+        c_fr, c_to, c_fr, c_to,     # dQ/dv
+    ])
+    J = np.bincount(rows * (2 * nb) + cols, vals, (2 * nb) ** 2)
+    J = J.reshape(2 * nb, 2 * nb)
+    diag = np.arange(nb, 2 * nb)
+    J[diag, diag] -= 2.0 * bsum * v
+    return J
+
+
 class _FlowEquations:
     """Power-flow mismatch and its analytic Jacobian for one slack choice.
 
@@ -248,12 +282,6 @@ class _FlowEquations:
         self.demand_q = np.zeros(nb)
         self.demand_p[k:] = scale * spec.load_p
         self.demand_q[k:] = scale * spec.load_q
-        # (row, col) in the full 2nb x 2nb Jacobian of each per-line
-        # partial, in the order ``jacobian`` lists them
-        fr, to = lines[0], lines[1]
-        self._jr = np.concatenate(
-            [fr, fr, to, to, nb + fr, nb + fr, nb + to, nb + to] * 2)
-        self._jc = np.concatenate([fr, to] * 4 + [nb + fr, nb + to] * 4)
 
     def flat_start(self) -> np.ndarray:
         u = np.zeros(len(self.rows))
@@ -279,36 +307,14 @@ class _FlowEquations:
         return np.concatenate([P, Q])[self.rows]
 
     def jacobian(self, u) -> np.ndarray:
-        """d mismatch / du, assembled from per-line partials.
-
-        With c = b cos(theta_i - theta_j) and s = b sin(theta_i -
-        theta_j) on line (i, j): the flow v_i v_j s has angle partials
-        (v_i v_j c, -v_i v_j c) and voltage partials (v_j s, v_i s); the
-        term v_i v_j c in both ends' Q has angle partials (-v_i v_j s,
-        v_i v_j s) and voltage partials (v_j c, v_i c).
-        """
-        spec = self.spec
-        fr, to, b, bsum = self.lines
-        nb = spec.n_bus
+        """d mismatch / du: the network partials plus the load slopes."""
+        nb = self.spec.n_bus
         theta, v = self.buses(u)
-        d = theta[fr] - theta[to]
-        bs, bc = b * np.sin(d), b * np.cos(d)
-        vv = v[fr] * v[to]
-        vs, vc = vv * bs, vv * bc
-        s_fr, s_to = v[to] * bs, v[fr] * bs
-        c_fr, c_to = v[to] * bc, v[fr] * bc
-        vals = np.concatenate([
-            -vc, vc, vc, -vc,           # dP/dtheta
-            -vs, vs, -vs, vs,           # dQ/dtheta
-            -s_fr, -s_to, s_fr, s_to,   # dP/dv
-            c_fr, c_to, c_fr, c_to,     # dQ/dv
-        ])
-        J = np.bincount(self._jr * (2 * nb) + self._jc, vals, (2 * nb) ** 2)
-        J = J.reshape(2 * nb, 2 * nb)
+        J = _network_jacobian(self.lines, theta, v)
         diag = np.arange(nb)
-        load_slope = 2.0 * spec.z * v
+        load_slope = 2.0 * self.spec.z * v
         J[diag, nb + diag] -= self.demand_p * load_slope
-        J[nb + diag, nb + diag] -= 2.0 * bsum * v + self.demand_q * load_slope
+        J[nb + diag, nb + diag] -= self.demand_q * load_slope
         return J[np.ix_(self.rows, self.rows)]
 
 
@@ -439,6 +445,53 @@ class _MultiMachine:
         Q[k:] -= scale * spec.load_q * shape
         return np.concatenate([pe_true - pe, P, Q])
 
+    def jacobians(self, x, y, p):
+        """Analytic ``(f_x, f_y, g_x, g_y)`` of :meth:`f` and :meth:`g`, dense.
+
+        The rows of g are [pe_true - pe; P; Q] and its columns [theta;
+        vmag; pe]: the network partials of :func:`_network_jacobian`,
+        the machine terms pe_true = e v sin(delta - theta) / xd and
+        (e v cos(delta - theta) - v^2) / xd at machine buses in P and Q,
+        and the slopes of the voltage-dependent loads.
+        """
+        pf = self.pf(p)
+        spec = pf.spec
+        k, nb, pm = spec.n_mach, spec.n_bus, self.per_mach
+        theta, vmag, _ = self.split_y(y)
+        d = np.arange(0, self.n, pm)        # angle rows/columns
+        mach = np.arange(k)
+        f_x = np.zeros((self.n, self.n))
+        f_y = np.zeros((self.n, self.m))
+        f_x[d, d + 1] = spec.omega_b
+        f_x[d + 1, d + 1] = -self.damping
+        f_y[d + 1, 2 * nb + mach] = -1.0
+        if spec.governors:
+            f_x[d + 1, d + 2] = 1.0
+            f_x[d + 2, d + 1] = -pf.gov_free / pf.droop
+            f_x[d + 2, d + 2] = -1.0
+        g_x = np.zeros((self.m, self.n))
+        g_y = np.zeros((self.m, self.m))
+        g_y[k:, :2 * nb] = _network_jacobian(self.lines, theta, vmag)
+        g_y[mach, 2 * nb + mach] = -1.0
+        dth = x[0::pm] - theta[:k]
+        sin, cos = np.sin(dth), np.cos(dth)
+        emf_v = pf.emf * vmag[:k] / spec.xd
+        # d/d delta (= -d/d theta) and d/d v of pe_true and of the
+        # machine-bus Q term, placed in the rows that carry them
+        pe_delta, pe_v = emf_v * cos, pf.emf * sin / spec.xd
+        q_delta, q_v = -emf_v * sin, (pf.emf * cos - 2.0 * vmag[:k]) / spec.xd
+        for rows, by_delta, by_v in ((mach, pe_delta, pe_v),
+                                     (k + mach, pe_delta, pe_v),
+                                     (k + nb + mach, q_delta, q_v)):
+            g_x[rows, d] = by_delta
+            g_y[rows, mach] -= by_delta
+            g_y[rows, nb + mach] += by_v
+        loads = np.arange(k, nb)
+        load_slope = 2.0 * (1.0 + spec.mu) * spec.z * vmag[k:]
+        g_y[k + loads, nb + loads] -= spec.load_p * load_slope
+        g_y[k + nb + loads, nb + loads] -= spec.load_q * load_slope
+        return f_x, f_y, g_x, g_y
+
     def equilibrium(self, model, p, guess):
         from .dae import Equilibrium
 
@@ -483,6 +536,7 @@ def make_multimachine(spec: Optional[MultiMachineSpec] = None,
         T=T,
         R=lambda p: sp.csc_matrix((core.m, core.n)),
         param=ParamDescriptor(param, p_init, p_fin),
+        jacobians=core.jacobians,
         equilibrium_solver=core.equilibrium,
         affine_in_p=False,
     )

@@ -1,6 +1,7 @@
-"""Equilibria, finite-difference linearization, pencil assembly/reduction."""
+"""Equilibria, linearization, pencil assembly/reduction."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,24 @@ class TestSolveEquilibrium:
         eq = solve_equilibrium(model, 0.0)
         assert eq.x0[0] == pytest.approx(2.0, abs=1e-8)
         assert eq.y0[0] == pytest.approx(1.0, abs=1e-10)
+
+    def test_analytic_jacobians_drive_newton(self):
+        calls = Counter()
+
+        def jac(x, y, p):
+            calls["jacobians"] += 1
+            return (np.array([[-3.0 * x[0] ** 2]]), np.zeros((1, 1)),
+                    np.zeros((1, 1)), np.array([[1.0]]))
+
+        model = scalar_model(
+            f=lambda x, y, p: np.array([-x[0] ** 3 + 8.0]),
+            g=lambda x, y, p: np.array([y[0] - 1.0]),
+            m=1, jac=jac,
+            guess=(np.array([1.0]), np.array([0.0])),
+        )
+        eq = solve_equilibrium(model, 0.0)
+        assert eq.x0[0] == pytest.approx(2.0, abs=1e-10)
+        assert calls["jacobians"] > 0
 
     def test_no_real_root_raises(self):
         model = scalar_model(
@@ -303,7 +322,8 @@ class TestModelPencilProvider:
 def dae_calls(monkeypatch):
     """Counts of the provider's model-layer calls, by function name."""
     counts = Counter()
-    for name in ("solve_equilibrium", "assemble_pencil", "reduce_state_matrix"):
+    for name in ("solve_equilibrium", "fd_jacobians", "assemble_pencil",
+                 "reduce_state_matrix"):
         def counted(*args, _fn=getattr(dae, name), _name=name, **kwargs):
             counts[_name] += 1
             return _fn(*args, **kwargs)
@@ -355,3 +375,15 @@ class TestProviderMemo:
         assert len(traj) == steps + 1
         assert dae_calls["solve_equilibrium"] <= 2 * steps + 2
         assert dae_calls["assemble_pencil"] <= 2 * steps + 2
+
+
+class TestLinearize:
+    def test_multimachine_provider_makes_no_fd_calls(self, dae_calls):
+        model = droop_model()
+        E, A = ModelPencilProvider(model).matrices(0.1)
+        assert dae_calls["fd_jacobians"] == 0
+        E_fd, A_fd = ModelPencilProvider(
+            replace(model, jacobians=None)).matrices(0.1)
+        assert dae_calls["fd_jacobians"] == 1
+        assert abs(E - E_fd).max() == 0.0
+        assert abs(A - A_fd).max() <= 1e-5 * abs(A).max()

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from eigtrack.dae import ModelPencilProvider, solve_equilibrium
+from eigtrack.dae import (
+    Equilibrium,
+    ModelPencilProvider,
+    fd_jacobians,
+    solve_equilibrium,
+)
 from eigtrack.errors import (
     DimensionMismatch,
     DisconnectedNetwork,
@@ -346,6 +351,29 @@ class TestNetworkEquations:
             f_ref, g_ref = loop_f_g(model.core, x, y, p)
             assert np.max(np.abs(model.f(x, y, p) - f_ref)) <= 1e-12
             assert np.max(np.abs(model.g(x, y, p) - g_ref)) <= 1e-12
+
+    @pytest.mark.parametrize("case", sorted(NETWORK_CASES))
+    def test_model_jacobians_match_central_difference(self, case):
+        model, p = network_case(case)
+        eq = solve_equilibrium(model, p)
+        rng = np.random.default_rng(11)
+        points = [(eq.x0, eq.y0),
+                  (eq.x0 + 0.05 * rng.standard_normal(model.n),
+                   eq.y0 + 0.05 * rng.standard_normal(model.m))]
+        for x, y in points:
+            fd = fd_jacobians(model, Equilibrium(x, y, p), scheme="central")
+            blocks = model.core.jacobians(x, y, p)
+            for name, got in zip(("f_x", "f_y", "g_x", "g_y"), blocks):
+                ref = getattr(fd, name).toarray()
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+    def test_governor_limit_switches_one_ulp_below_setpoint(self):
+        # the lossless network dispatches exactly the 0.8 pu setpoint at
+        # the slack, so the limit check flips between these two values
+        core = make_multimachine(MultiMachineSpec(), param="p_max_0").core
+        assert core.pf(0.8).saturated == set()
+        assert core.pf(0.7999999999999999).saturated == {0}
 
 
 class TestModelSpecFile:

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from eigtrack.dae import ModelPencilProvider, PencilSample
 from eigtrack.errors import (
     DegenerateVector,
+    EigtrackError,
     NoCandidate,
     NoConvergence,
     TrackingAborted,
@@ -655,6 +656,42 @@ class TestConvergenceOrder:
         e1 = self.endpoint_error(companion_provider, "rk4", 0.2)
         e2 = self.endpoint_error(companion_provider, "rk4", 0.1)
         assert 12.0 <= e1 / e2 <= 20.0
+
+
+class TestTypedFailures:
+    """Whatever a companion sweep runs into, ``track`` either returns or
+    raises an :class:`EigtrackError`; an abort carries the trajectory
+    from ``p_init`` on."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(p_init=st.floats(0.3, 2.5), p_fin=st.floats(0.3, 2.5),
+           dp=st.floats(0.02, 0.5),
+           predictor=st.sampled_from(["fem", "rk4", "none"]),
+           reinit=st.sampled_from(["never", "on_fold", "on_failure"]),
+           max_iter=st.integers(1, 3), adapt=st.booleans(),
+           epsilon=st.sampled_from([0.0, 1e-6]))
+    def test_any_failure_is_typed(self, p_init, p_fin, dp, predictor,
+                                  reinit, max_iter, adapt, epsilon):
+        from eigtrack.models import make_companion_fold
+
+        provider = ModelPencilProvider(make_companion_fold(), form="reduced")
+        init = companion_state(provider, p_init)
+        cfg = TrackerConfig(
+            p_init=p_init, p_fin=p_fin,
+            dp_init=dp if p_fin >= p_init else -dp, predictor=predictor,
+            corrector=NewtonConfig(tol=1e-12, max_iter=max_iter),
+            # dp_min = dp/8 keeps examples short: under on_failure a
+            # tolerance max_iter cannot reach re-initialises every step
+            adapt=AdaptConfig(enabled=adapt, dp_min=dp / 8),
+            epsilon_imag=epsilon,
+            reinit_policy=reinit)
+        try:
+            track(provider, init, cfg)
+        except TrackingAborted as exc:
+            assert exc.trajectory is not None and len(exc.trajectory) >= 1
+            assert exc.trajectory[0].p == p_init
+        except EigtrackError:
+            pass  # typed; anything else propagates and fails the test
 
 
 class TestNormalizationDrift:
