@@ -11,7 +11,6 @@ from .models import (
     load_pencil_sequence,
     make_companion_fold,
     make_multimachine,
-    sweep_parameter,
 )
 from .spectrum import full_spectrum, mac, pair_by_mac, participation_factors
 from .tracker import (

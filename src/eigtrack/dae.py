@@ -48,6 +48,9 @@ __all__ = [
 ]
 
 EQ_TOL = 1e-10
+EQ_MAX_ITER = 50
+EQ_STEP_TOL = 1e-12
+FD_DROP = 1e-12
 
 
 @dataclass
@@ -67,9 +70,10 @@ class DaeModel:
     ``(f_x, f_y, g_x, g_y)`` at ``(x, y, p)`` (dense or sparse) and
     drives every linearization (:func:`linearize`); models without it
     fall back to finite differences (:func:`fd_jacobians`).
-    ``equilibrium_solver`` overrides the generic Newton solve for models
-    whose steady state needs special treatment (e.g. an embedded
-    power-flow problem).
+    ``equilibrium_solver(model, p)`` overrides the generic Newton solve
+    for models whose steady state needs special treatment (e.g. an
+    embedded power-flow problem); the generic solve starts every p from
+    ``guess`` (zeros when unset).
     """
 
     n: int
@@ -127,19 +131,16 @@ class PencilSample:
         return self.E.shape[0]
 
 
-def solve_equilibrium(model: DaeModel, p: float, guess=None,
-                      max_iter: int = 50, step_tol: float = 1e-12,
-                      eq_tol: float = EQ_TOL) -> Equilibrium:
-    """Newton solve of [f; g] = 0 starting from ``guess``.
+def solve_equilibrium(model: DaeModel, p: float) -> Equilibrium:
+    """Newton solve of [f; g] = 0 starting from ``model.guess``.
 
-    Uses the model's own equilibrium solver when it defines one.
-    Raises :class:`NoConvergence` when the iteration budget is
-    exhausted or the Jacobian becomes singular.
+    Uses the model's own equilibrium solver when it defines one.  The
+    result depends on p alone.  Raises :class:`NoConvergence` when the
+    iteration budget is exhausted or the Jacobian becomes singular.
     """
     if model.equilibrium_solver is not None:
-        return model.equilibrium_solver(model, p, guess)
-    if guess is None:
-        guess = model.guess or (np.zeros(model.n), np.zeros(model.m))
+        return model.equilibrium_solver(model, p)
+    guess = model.guess or (np.zeros(model.n), np.zeros(model.m))
     x = np.array(guess[0], dtype=float).copy()
     y = np.array(guess[1], dtype=float).copy()
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
@@ -149,9 +150,9 @@ def solve_equilibrium(model: DaeModel, p: float, guess=None,
         return np.concatenate([model.f(x, y, p), np.atleast_1d(model.g(x, y, p))
                                if model.m else np.empty(0)])
 
-    for _ in range(max_iter):
+    for _ in range(EQ_MAX_ITER):
         F = resid(x, y)
-        if np.max(np.abs(F), initial=0.0) <= eq_tol:
+        if np.max(np.abs(F), initial=0.0) <= EQ_TOL:
             return Equilibrium(x, y, p)
         b = linearize(model, Equilibrium(x, y, p))
         J = sp.bmat([[b.f_x, b.f_y], [b.g_x, b.g_y]], format="csc")
@@ -163,12 +164,12 @@ def solve_equilibrium(model: DaeModel, p: float, guess=None,
         y = y + step[model.n:]
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise NoConvergence("equilibrium iterate diverged")
-        if np.linalg.norm(step, np.inf) <= step_tol:
+        if np.linalg.norm(step, np.inf) <= EQ_STEP_TOL:
             F = resid(x, y)
-            if np.max(np.abs(F), initial=0.0) <= eq_tol:
+            if np.max(np.abs(F), initial=0.0) <= EQ_TOL:
                 return Equilibrium(x, y, p)
             raise NoConvergence("Newton stalled above equilibrium tolerance")
-    raise NoConvergence(f"no equilibrium within {max_iter} iterations")
+    raise NoConvergence(f"no equilibrium within {EQ_MAX_ITER} iterations")
 
 
 def _mass_blocks(model: DaeModel, p: float):
@@ -188,7 +189,7 @@ def linearize(model: DaeModel, eq: Equilibrium) -> ModelBlocks:
 
 
 def fd_jacobians(model: DaeModel, eq: Equilibrium, h_x: float = 1e-7,
-                 drop: float = 1e-12, scheme: str = "forward") -> ModelBlocks:
+                 scheme: str = "forward") -> ModelBlocks:
     """Finite-difference Jacobian blocks at an equilibrium.
 
     Always differences ``f`` and ``g``, whether or not the model has
@@ -196,7 +197,7 @@ def fd_jacobians(model: DaeModel, eq: Equilibrium, h_x: float = 1e-7,
     the reference the analytic blocks are tested against.  Column j is
     stepped by ``h_x (1 + |v_j|)``; forward differences by default
     (``scheme="central"`` for sensitivity studies and oracles).
-    Entries with magnitude below ``drop`` are removed from the sparse
+    Entries with magnitude below ``FD_DROP`` are removed from the sparse
     result.
     """
     if h_x <= 0:
@@ -231,7 +232,7 @@ def fd_jacobians(model: DaeModel, eq: Equilibrium, h_x: float = 1e-7,
         g_y = np.empty((0, 0))
 
     def sparsify(M):
-        M = np.where(np.abs(M) < drop, 0.0, M)
+        M = np.where(np.abs(M) < FD_DROP, 0.0, M)
         return as_csc(M)
 
     T, R = _mass_blocks(model, p)
@@ -347,16 +348,17 @@ class PencilProvider(Protocol):
 class ModelPencilProvider:
     """Pencil provider backed by a DaeModel.
 
-    Per parameter value: re-solves the equilibrium (warm-started from
-    the previous solution), linearizes (:func:`linearize`: analytic
-    Jacobians when the model has them, finite differences otherwise),
-    and assembles the pencil.  ``form="reduced"`` eliminates the
-    algebraic variables so the tracker runs on the dense n-by-n state
-    matrix with E = I instead of the sparse (n+m) pencil.  One memo
-    entry per p holds the blocks and the ``(E, A)`` built from them, so
-    every later ``matrices``/``sample`` call at that p (the next step's
-    predictor, the trajectory record, the derivative stencil) reuses
-    them; callers must not modify the returned matrices.
+    Per parameter value: solves the equilibrium, linearizes
+    (:func:`linearize`: analytic Jacobians when the model has them,
+    finite differences otherwise), and assembles the pencil.
+    ``form="reduced"`` eliminates the algebraic variables so the tracker
+    runs on the dense n-by-n state matrix with E = I instead of the
+    sparse (n+m) pencil.  One memo entry per p holds the blocks and the
+    ``(E, A)`` built from them, so every later ``matrices``/``sample``
+    call at that p (the next step's predictor, the trajectory record,
+    the derivative stencil) reuses them; callers must not modify the
+    returned matrices.  The memo is a pure cache: every entry depends on
+    p alone, never on which p were visited before.
     """
 
     def __init__(self, model: DaeModel, form: str = "pencil"):
@@ -368,7 +370,6 @@ class ModelPencilProvider:
         self.m = model.m if form == "pencil" else 0
         self.r = model.n + self.m
         self.affine_in_p = model.affine_in_p
-        self._eq_guess = model.guess
         self._cache: dict[float, tuple] = {}
 
     def clone(self) -> "ModelPencilProvider":
@@ -378,8 +379,7 @@ class ModelPencilProvider:
         """Memo entry ``(blocks, (E, A))`` at p, built on first use."""
         got = self._cache.get(p)
         if got is None:
-            eq = solve_equilibrium(self.model, p, self._eq_guess)
-            self._eq_guess = (eq.x0, eq.y0)
+            eq = solve_equilibrium(self.model, p)
             blocks = linearize(self.model, eq)
             if self.form == "reduced":
                 pencil = (as_csc(sp.identity(self.n, format="csc")),

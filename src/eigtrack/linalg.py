@@ -5,7 +5,8 @@ Sparse matrices, real or complex, are carried as
 arrays.  The two entry points that the continuation core leans on are
 :func:`lu_factor` (sparse LU with an absolute pivot floor, so
 near-singular bordered matrices surface as
-:class:`~eigtrack.errors.SingularMatrix` instead of garbage solutions) and :func:`eig_dense` (full dense eigendecomposition used as
+:class:`~eigtrack.errors.SingularMatrix` instead of garbage solutions)
+and :func:`eig_dense` (full dense eigendecomposition used as
 initializer and reference oracle).
 """
 
@@ -17,13 +18,12 @@ import scipy.sparse.linalg as spla
 
 from .errors import DimensionMismatch, NoConvergence, SingularMatrix
 
-DEFAULT_PIVOT_FLOOR = 1e-14
+PIVOT_FLOOR = 1e-14
 
 __all__ = [
-    "DEFAULT_PIVOT_FLOOR",
+    "PIVOT_FLOOR",
     "LUFactorization",
     "lu_factor",
-    "lu_solve",
     "eig_dense",
     "eig_residual",
     "as_csc",
@@ -43,24 +43,23 @@ class LUFactorization:
     """Immutable sparse LU factorization supporting repeated solves.
 
     Thin wrapper over SuperLU.  A factorization whose U diagonal
-    contains a pivot with magnitude at or below ``pivot_floor`` is
+    contains a pivot with magnitude at or below ``PIVOT_FLOOR`` is
     rejected at construction time.
     """
 
-    def __init__(self, M, pivot_floor: float = DEFAULT_PIVOT_FLOOR):
+    def __init__(self, M):
         M = as_csc(M)
         if M.shape[0] != M.shape[1]:
             raise DimensionMismatch(f"matrix is {M.shape}, expected square")
         self.shape = M.shape
-        self.pivot_floor = pivot_floor
         try:
             self._lu = spla.splu(M)
         except RuntimeError as exc:  # SuperLU signals exact singularity this way
             raise SingularMatrix(str(exc)) from exc
         diag = np.abs(self._lu.U.diagonal())
-        if diag.size and diag.min() <= pivot_floor:
+        if diag.size and diag.min() <= PIVOT_FLOOR:
             raise SingularMatrix(
-                f"pivot {diag.min():.3e} at or below floor {pivot_floor:.3e}"
+                f"pivot {diag.min():.3e} at or below floor {PIVOT_FLOOR:.3e}"
             )
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -72,19 +71,14 @@ class LUFactorization:
         return self._lu.solve(b)
 
 
-def lu_factor(M, pivot_floor: float = DEFAULT_PIVOT_FLOOR) -> LUFactorization:
+def lu_factor(M) -> LUFactorization:
     """Sparse LU factorization of a square real or complex matrix.
 
     Raises :class:`SingularMatrix` when a pivot falls at or below
-    ``pivot_floor``; callers interpret this as proximity to a
+    ``PIVOT_FLOOR``; callers interpret this as proximity to a
     defective/critical point.
     """
-    return LUFactorization(M, pivot_floor=pivot_floor)
-
-
-def lu_solve(F: LUFactorization, b: np.ndarray) -> np.ndarray:
-    """Solve M x = b using a previously computed factorization."""
-    return F.solve(b)
+    return LUFactorization(M)
 
 
 def eig_dense(A, want_left: bool = False):

@@ -25,7 +25,6 @@ import scipy.sparse as sp
 
 from .dae import (
     DaeModel,
-    ModelPencilProvider,
     ParamDescriptor,
     PencilSample,
     fd_matrix_derivatives,
@@ -46,7 +45,6 @@ __all__ = [
     "MultiMachineSpec",
     "make_multimachine",
     "load_model_spec",
-    "sweep_parameter",
     "SyntheticSparseProvider",
     "FilePencilProvider",
     "load_pencil_sequence",
@@ -492,7 +490,7 @@ class _MultiMachine:
         g_y[k + nb + loads, nb + loads] -= spec.load_q * load_slope
         return f_x, f_y, g_x, g_y
 
-    def equilibrium(self, model, p, guess):
+    def equilibrium(self, model, p):
         from .dae import Equilibrium
 
         pf = self.pf(p)
@@ -552,14 +550,6 @@ def load_model_spec(path) -> MultiMachineSpec:
     with open(path) as fh:
         data = json.load(fh)
     return MultiMachineSpec(**data)
-
-
-def sweep_parameter(model: DaeModel, name: str) -> ModelPencilProvider:
-    """Pencil provider sweeping the model's named parameter."""
-    if name != model.param.name:
-        raise ValueError(
-            f"model is bound to parameter {model.param.name!r}, not {name!r}")
-    return ModelPencilProvider(model)
 
 
 # ---------------------------------------------------------------------------

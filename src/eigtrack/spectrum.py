@@ -10,7 +10,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import DegeneratePair, ZeroVector
-from .linalg import eig_dense, eig_residual
+from .linalg import eig_dense
 
 __all__ = [
     "EigenPair",
@@ -57,21 +57,20 @@ def frequency_hz(s: complex) -> float:
     return abs(s.imag) / (2.0 * np.pi)
 
 
-def full_spectrum(provider, p: float, want_left: bool = False,
+def full_spectrum(provider, p: float,
                   pencil_coords: bool = False) -> List[EigenPair]:
-    """All n finite eigenpairs of the reduced state matrix at p.
+    """All n finite eigenpairs (right vectors only) of the reduced state
+    matrix at p.
 
     With ``pencil_coords=True``, right eigenvectors are lifted back to
     the (n+m)-dimensional pencil coordinates by appending the algebraic
-    components.  Left vectors always stay in state coordinates.
+    components.
     """
-    A = provider.reduced(p)
-    triples = eig_dense(A, want_left=want_left)
     pairs = []
-    for s, right, left in triples:
+    for s, right, _ in eig_dense(provider.reduced(p)):
         if pencil_coords:
             right = provider.lift(p, right)
-        pairs.append(EigenPair(s=s, right=right, left=left))
+        pairs.append(EigenPair(s=s, right=right))
     return pairs
 
 
@@ -140,7 +139,7 @@ def participation_factors(pairs: Sequence[EigenPair]) -> np.ndarray:
 
 
 def reference_trajectory(provider, p_grid: Sequence[float], seed_index: int,
-                         want_left: bool = False, pencil_coords: bool = False,
+                         pencil_coords: bool = False,
                          low_mac: float = 0.98) -> ReferenceTrajectory:
     """Track one mode across a parameter grid by chained MAC pairing.
 
@@ -149,12 +148,12 @@ def reference_trajectory(provider, p_grid: Sequence[float], seed_index: int,
     eigenvector discontinuity (fold) inside that step.
     """
     p_grid = list(p_grid)
-    spectra = [full_spectrum(provider, p_grid[0], want_left, pencil_coords)]
+    spectra = [full_spectrum(provider, p_grid[0], pencil_coords)]
     idx = [seed_index]
     step_mac = [1.0]
     low = []
     for k, p in enumerate(p_grid[1:], start=1):
-        spec = full_spectrum(provider, p, want_left, pencil_coords)
+        spec = full_spectrum(provider, p, pencil_coords)
         mapping = pair_by_mac(spectra[-1], spec)
         j = mapping[idx[-1]]
         if j is None:

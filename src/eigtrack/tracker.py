@@ -2,7 +2,7 @@
 
 The tracked quantity is the complex augmented vector [phi; s].  The
 eigenproblem (sE - A) phi = 0 and the bilinear normalization
-phi^T phi = c have no conjugation, so they are analytic in (phi, s);
+phi^T phi = 1 have no conjugation, so they are analytic in (phi, s);
 differentiating them with respect to the parameter gives the complex
 bordered (r+1)-dimensional system M [phi'; s'] = h with a sparse,
 state-dependent matrix M.  Tracking integrates this system with an
@@ -57,19 +57,20 @@ __all__ = [
 
 NORM_TOL = 1e-10
 STEP_TOL = 1e-9
+INIT_RES_TOL = 1e-6  # largest residual accepted for an initial eigenpair
+MIN_MAC = 0.3  # weakest eigenvector match a re-initialization accepts
 
 
 @dataclass
 class TrackerState:
     """Augmented continuation state: eigenvector, eigenvalue, parameter."""
 
-    phi: np.ndarray  # complex, length r
+    phi: np.ndarray  # complex, length r, phi^T phi = 1
     s: complex
     p: float
-    c: complex = 1.0 + 0.0j
 
     def copy(self) -> "TrackerState":
-        return TrackerState(self.phi.copy(), self.s, self.p, self.c)
+        return TrackerState(self.phi.copy(), self.s, self.p)
 
 
 @dataclass
@@ -84,7 +85,6 @@ class AdaptConfig:
     lo: float = 0.04
     hi: float = 0.08
     dp_min: Optional[float] = None
-    dp_max: Optional[float] = None
 
 
 @dataclass
@@ -119,8 +119,6 @@ class TrackerConfig:
 
     @property
     def dp_max(self) -> float:
-        if self.adapt.dp_max is not None:
-            return self.adapt.dp_max
         return 16.0 * abs(self.dp_init)
 
 
@@ -217,23 +215,23 @@ def residual(E, A, s: complex, phi: np.ndarray) -> float:
 
 
 def init_from_eigenpair(E, A, s: complex, phi: np.ndarray,
-                        c: complex = 1.0 + 0.0j, p: float = 0.0,
-                        res_tol: float = 1e-6) -> TrackerState:
+                        p: float = 0.0) -> TrackerState:
     """Build a tracker state from a computed eigenpair.
 
     The eigenvector is rescaled so that the bilinear product
-    phi^T phi (no conjugation) equals ``c``.  A vector with
+    phi^T phi (no conjugation) equals 1.  A vector with
     phi^T phi = 0 is isotropic and cannot carry this normalization.
     """
     phi = np.asarray(phi, dtype=complex)
     res = residual(E, A, s, phi)
-    if res > res_tol:
-        raise ValueError(f"input eigenpair residual {res:.2e} exceeds {res_tol:.1e}")
+    if res > INIT_RES_TOL:
+        raise ValueError(
+            f"input eigenpair residual {res:.2e} exceeds {INIT_RES_TOL:.1e}")
     q = phi @ phi
     if abs(q) <= 1e-12 * np.linalg.norm(phi) ** 2:
-        raise DegenerateVector("phi^T phi = 0; pick another c or rotate the phase")
-    phi = phi * np.sqrt(c / q)
-    return TrackerState(phi=phi, s=complex(s), p=p, c=complex(c))
+        raise DegenerateVector("phi^T phi = 0; rotate the phase")
+    phi = phi * np.sqrt(1.0 / q)
+    return TrackerState(phi=phi, s=complex(s), p=p)
 
 
 def assemble_system(sample, state: TrackerState):
@@ -261,7 +259,7 @@ def predict_fem(sample, state: TrackerState, dp: float) -> TrackerState:
     ydot = lu_factor(M).solve(h)
     return TrackerState(phi=state.phi + dp * ydot[:-1],
                         s=complex(state.s + dp * ydot[-1]),
-                        p=state.p + dp, c=state.c)
+                        p=state.p + dp)
 
 
 def predict_rk4(provider, state: TrackerState, dp: float,
@@ -280,7 +278,7 @@ def predict_rk4(provider, state: TrackerState, dp: float,
             return provider.sample(p, h_p)
 
     def F(p, y):
-        st = TrackerState(phi=y[:-1], s=complex(y[-1]), p=p, c=state.c)
+        st = TrackerState(phi=y[:-1], s=complex(y[-1]), p=p)
         smp = sample0 if p == p0 else stage_sample(p)
         M, h = assemble_system(smp, st)
         return lu_factor(M).solve(h)
@@ -291,17 +289,17 @@ def predict_rk4(provider, state: TrackerState, dp: float,
     k3 = F(p0 + dp / 2, y0 + dp / 2 * k2)
     k4 = F(p0 + dp, y0 + dp * k3)
     y = y0 + dp / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return TrackerState(phi=y[:-1], s=complex(y[-1]), p=p0 + dp, c=state.c)
+    return TrackerState(phi=y[:-1], s=complex(y[-1]), p=p0 + dp)
 
 
 def correct_newton(sample, state: TrackerState, tol: float = 1e-10,
                    max_iter: int = 10):
     """Newton refinement onto the exact eigenproblem manifold.
 
-    Solves G(phi, s) = [(sE-A)phi; phi^T phi - c] = 0 in complex
+    Solves G(phi, s) = [(sE-A)phi; phi^T phi - 1] = 0 in complex
     arithmetic (G is analytic: no conjugation).  Its Jacobian is
     diag(I, 2) M with M from :func:`assemble_system`, so each step
-    solves M delta = -[(sE-A)phi; (phi^T phi - c)/2].
+    solves M delta = -[(sE-A)phi; (phi^T phi - 1)/2].
     Returns (state, iterations).
     """
     E, A = sample.E, sample.A
@@ -309,7 +307,7 @@ def correct_newton(sample, state: TrackerState, tol: float = 1e-10,
     ds_hist = [0.0, 0.0]
     for it in range(max_iter + 1):
         Pphi = st.s * (E @ st.phi) - A @ st.phi
-        nrm = st.phi @ st.phi - st.c
+        nrm = st.phi @ st.phi - 1.0
         # A near-defective eigenvalue lets the residual converge while the
         # iterate itself keeps drifting; requiring the last Newton update
         # on s to be small AND strongly contracting rejects such
@@ -333,7 +331,7 @@ def correct_newton(sample, state: TrackerState, tol: float = 1e-10,
         y = np.append(st.phi, st.s) + delta
         if not np.all(np.isfinite(y)):
             raise NoConvergence("corrector iterate diverged")
-        st = TrackerState(phi=y[:-1], s=complex(y[-1]), p=st.p, c=st.c)
+        st = TrackerState(phi=y[:-1], s=complex(y[-1]), p=st.p)
     raise NoConvergence(f"corrector did not converge in {max_iter} iterations")
 
 
@@ -360,9 +358,8 @@ def perturb_epsilon(state: TrackerState, eps: float) -> TrackerState:
         return state.copy()
     phi = state.phi.real + 1j * (state.phi.real * eps + state.phi.imag)
     q = phi @ phi
-    phi = phi * np.sqrt(state.c / q)
-    return TrackerState(phi=phi, s=complex(state.s.real, eps), p=state.p,
-                        c=state.c)
+    phi = phi * np.sqrt(1.0 / q)
+    return TrackerState(phi=phi, s=complex(state.s.real, eps), p=state.p)
 
 
 def detect_fold(prev: TrackerState, next: TrackerState,
@@ -380,32 +377,27 @@ def detect_fold(prev: TrackerState, next: TrackerState,
 
 
 def reinitialize(provider, p: float, reference_phi: np.ndarray,
-                 branch_rule: str = "same", s_prev: Optional[complex] = None,
-                 c: complex = 1.0 + 0.0j, min_mac: float = 0.3) -> TrackerState:
+                 s_prev: Optional[complex] = None) -> TrackerState:
     """Restart from a full eigendecomposition at p.
 
     Picks the spectrum entry whose eigenvector best matches
     ``reference_phi`` by MAC (ties broken by eigenvalue distance to
-    ``s_prev``); ``branch_rule="other"`` takes the second-best match,
-    used to continue on the opposite branch after a spectral split.
+    ``s_prev``) and raises :class:`NoCandidate` when that best MAC is
+    below ``MIN_MAC``.
     """
-    if branch_rule not in ("same", "other"):
-        raise ValueError(f"unknown branch rule {branch_rule!r}")
-    pairs = full_spectrum(provider, p, want_left=False,
-                          pencil_coords=provider.r != provider.n)
+    pairs = full_spectrum(provider, p, pencil_coords=provider.r != provider.n)
     scored = []
     for pair in pairs:
         m = mac(reference_phi, pair.right)
         d = abs(pair.s - s_prev) if s_prev is not None else 0.0
         scored.append((m, d, pair))
     scored.sort(key=lambda t: (-t[0], t[1]))
-    pick = 0 if branch_rule == "same" else 1
-    if pick >= len(scored) or scored[pick][0] < min_mac:
+    if not scored or scored[0][0] < MIN_MAC:
         best = scored[0][0] if scored else 0.0
-        raise NoCandidate(f"best MAC {best:.3f} below {min_mac} at p={p}")
-    m, _, pair = scored[pick]
+        raise NoCandidate(f"best MAC {best:.3f} below {MIN_MAC} at p={p}")
+    pair = scored[0][2]
     E, A = provider.matrices(p)
-    return init_from_eigenpair(E, A, pair.s, pair.right, c=c, p=p)
+    return init_from_eigenpair(E, A, pair.s, pair.right, p=p)
 
 
 def _record(state: TrackerState, E, A, dp_used: float, iters: int,
@@ -424,7 +416,10 @@ def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
     corrector fails, or whose eigenvalue displacement exceeds four
     times the high adaptation threshold, is retried with a halved step
     down to dp_min; a displacement that survives at dp_min is accepted
-    as a flagged jump (corrector on).  ``cfg.reinit_policy`` decides
+    as a flagged jump (corrector on).  The next step starts from
+    ``adapt_step`` of the accepted step when adaptivity is on, and from
+    ``|dp_init|`` again when it is off, so a halved step never pins the
+    rest of a non-adaptive sweep at dp_min.  ``cfg.reinit_policy`` decides
     what else restarts from a full spectrum: ``on_failure`` replaces a
     step that still fails at dp_min, ``on_fold`` follows every
     fold-flagged accepted step, ``never`` does neither; a failure at
@@ -451,7 +446,8 @@ def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
         return traj
 
     sgn = 1.0 if span > 0 else -1.0
-    dp = math.copysign(abs(cfg.dp_init), sgn)
+    dp_base = math.copysign(abs(cfg.dp_init), sgn)
+    dp = dp_base
     ptol = 1e-12 * max(1.0, abs(cfg.p_init), abs(cfg.p_fin))
     jump_bar = 4.0 * cfg.adapt.hi
 
@@ -492,7 +488,7 @@ def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
             if failure is not None:
                 if cfg.reinit_policy == "on_failure":
                     new = reinitialize(provider, state.p + dp_step, state.phi,
-                                       s_prev=state.s, c=state.c)
+                                       s_prev=state.s)
                     flags = {"reinitialized"}
                     ds = abs(new.s - state.s)
                     if detect_fold(state, new, eps=eps_ref):
@@ -500,9 +496,9 @@ def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
                     E, A = provider.matrices(new.p)
                     traj.append(_record(new, E, A, dp_step, 0, flags))
                     state = new
-                    dp = dp_step
+                    dp = dp_base
                     if cfg.adapt.enabled:
-                        dp = adapt_step(max(ds, 1e-300), dp, cfg.adapt,
+                        dp = adapt_step(max(ds, 1e-300), dp_step, cfg.adapt,
                                         cfg.dp_min, cfg.dp_max)
                     continue
                 raise TrackingAborted(
@@ -526,19 +522,17 @@ def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
                 flags.add("fold_detected")
             E, A = provider.matrices(cand.p)
             traj.append(_record(cand, E, A, dp_step, iters, flags))
-            prev = state
             state = cand
             if fold and cfg.reinit_policy == "on_fold":
-                new = reinitialize(provider, state.p, state.phi,
-                                   s_prev=state.s, c=state.c)
+                new = reinitialize(provider, state.p, state.phi, s_prev=state.s)
                 traj.append(_record(new, E, A, 0.0, 0, {"reinitialized"}))
                 state = new
             if cfg.reperturb and cfg.epsilon_imag and abs(state.s.imag) < eps_ref:
                 state = perturb_epsilon(
                     replace_real(state), cfg.epsilon_imag * max(1.0, abs(state.s)))
-            dp = dp_step
+            dp = dp_base
             if cfg.adapt.enabled:
-                dp = adapt_step(ds, dp, cfg.adapt, cfg.dp_min, cfg.dp_max)
+                dp = adapt_step(ds, dp_step, cfg.adapt, cfg.dp_min, cfg.dp_max)
     except TrackingAborted:
         raise
     except EigtrackError as exc:
@@ -551,4 +545,4 @@ def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
 def replace_real(state: TrackerState) -> TrackerState:
     """Project a nearly-real state exactly onto the real axis."""
     return TrackerState(phi=state.phi.real.astype(complex),
-                        s=complex(state.s.real, 0.0), p=state.p, c=state.c)
+                        s=complex(state.s.real, 0.0), p=state.p)

@@ -354,6 +354,23 @@ class TestProviderMemo:
         E3, A3 = ModelPencilProvider(model, form=form).matrices(0.1)
         assert (E3 != E).nnz == 0 and (A3 != A).nnz == 0
 
+    @pytest.mark.parametrize("form", ["pencil", "reduced"])
+    def test_pencil_does_not_depend_on_visit_order(self, coupled_dae_model,
+                                                   form):
+        # a nonlinear model without analytic Jacobians: an equilibrium
+        # solve started from the previous p would move A by ~1e-10 and
+        # the forward-difference Adot by ~1e-4
+        def at_03(prov):
+            smp = prov.sample(0.3)
+            return [*prov.matrices(0.3), smp.E, smp.A, smp.Edot, smp.Adot]
+
+        visited = ModelPencilProvider(coupled_dae_model, form=form)
+        visited.matrices(0.9)
+        visited.sample(0.6)
+        fresh = ModelPencilProvider(coupled_dae_model, form=form)
+        for mine, ref in zip(at_03(visited), at_03(fresh)):
+            assert np.array_equal(mine.toarray(), ref.toarray())
+
     def test_droop_sweep_builds_each_p_once(self, dae_calls):
         from eigtrack.spectrum import full_spectrum
         from eigtrack.tracker import (NewtonConfig, TrackerConfig,

@@ -11,7 +11,6 @@ from eigtrack.linalg import (
     eig_dense,
     eig_residual,
     lu_factor,
-    lu_solve,
     read_matrix_market,
     write_matrix_market,
 )
@@ -39,8 +38,6 @@ class TestLuFactor:
         M = as_csc(np.diag([1.0, 1e-20]))
         with pytest.raises(SingularMatrix):
             lu_factor(M)
-        F = lu_factor(M, pivot_floor=0.0)
-        assert np.allclose(F.solve(np.array([1.0, 1e-20])), [1.0, 1.0])
 
     def test_rhs_dimension_checked(self):
         F = lu_factor(sp.identity(3, format="csc"))
@@ -51,16 +48,16 @@ class TestLuFactor:
 class TestLuSolve:
     def test_identity(self):
         F = lu_factor(sp.identity(2, format="csc"))
-        assert np.allclose(lu_solve(F, np.array([3.0, 7.0])), [3.0, 7.0])
+        assert np.allclose(F.solve(np.array([3.0, 7.0])), [3.0, 7.0])
 
     def test_permutation(self):
         F = lu_factor(as_csc(np.array([[0.0, 1.0], [1.0, 0.0]])))
-        assert np.allclose(lu_solve(F, np.array([5.0, 6.0])), [6.0, 5.0])
+        assert np.allclose(F.solve(np.array([5.0, 6.0])), [6.0, 5.0])
 
     def test_hand_elimination_system(self):
         # [[4,3],[6,3]] x = [10,12]: row-reduce to x = [1, 2].
         F = lu_factor(as_csc(np.array([[4.0, 3.0], [6.0, 3.0]])))
-        assert np.allclose(lu_solve(F, np.array([10.0, 12.0])), [1.0, 2.0],
+        assert np.allclose(F.solve(np.array([10.0, 12.0])), [1.0, 2.0],
                            atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
@@ -69,7 +66,7 @@ class TestLuSolve:
         rng = np.random.default_rng(seed)
         M = rng.standard_normal((n, n)) * 0.1 + np.diag(2.0 + rng.random(n))
         b = rng.standard_normal(n)
-        x = lu_solve(lu_factor(as_csc(M)), b)
+        x = lu_factor(as_csc(M)).solve(b)
         res = np.linalg.norm(M @ x - b, np.inf)
         scale = np.abs(M).sum(axis=1).max() * np.linalg.norm(x, np.inf) \
             + np.linalg.norm(b, np.inf)

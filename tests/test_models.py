@@ -27,7 +27,6 @@ from eigtrack.models import (
     load_pencil_sequence,
     make_companion_fold,
     make_multimachine,
-    sweep_parameter,
 )
 from eigtrack.models import _FlowEquations
 from eigtrack.spectrum import EigenPair, participation_factors
@@ -197,7 +196,7 @@ class TestMultiMachine:
     def test_loading_sweep_past_loadability_fails(self):
         model = make_multimachine(MultiMachineSpec(), param="mu",
                                   p_init=0.0, p_fin=1.5)
-        prov = sweep_parameter(model, "mu")
+        prov = ModelPencilProvider(model)
         prov.reduced(0.0)  # base case solvable
         failed_at = None
         for p in np.linspace(0.0, 1.5, 16):
@@ -249,11 +248,6 @@ class TestMultiMachine:
     def test_disconnected_network_rejected(self):
         with pytest.raises(DisconnectedNetwork):
             make_multimachine(MultiMachineSpec(b_ring=0.0))
-
-    def test_sweep_parameter_name_must_match(self):
-        model = make_multimachine(MultiMachineSpec(), param="droop")
-        with pytest.raises(ValueError):
-            sweep_parameter(model, "gov_T")
 
     def test_spec_field_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

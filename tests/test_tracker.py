@@ -319,42 +319,25 @@ class TestReinitialize:
         st_ = reinitialize(Diag(), 0.0, np.array([1.0, 0.0]))
         assert st_.s == pytest.approx(-1.0)
 
-    def test_branch_other_after_split(self, companion_provider):
-        # Post-fold spectrum at p = 0.75 is {-0.5, -1.5}; arriving on the
-        # -0.5 branch, branch_rule="other" hops to -1.5.
-        pairs = full_spectrum(companion_provider, 0.75)
-        upper = max(pairs, key=lambda e: e.s.real)
-        st_ = reinitialize(companion_provider, 0.75, upper.right,
-                           branch_rule="other", s_prev=upper.s)
-        assert st_.s == pytest.approx(-1.5, abs=1e-10)
-
     def test_orthogonal_reference_no_candidate(self):
         class Fixed:
-            n = r = 2
+            n = r = 4
             m = 0
             affine_in_p = True
 
             def matrices(self, p):
-                return as_csc(np.eye(2)), as_csc(np.diag([-1.0, -1.0]))
+                return as_csc(np.eye(4)), as_csc(-np.eye(4))
 
             def reduced(self, p):
-                return np.diag([-1.0, -1.0])
+                return -np.eye(4)
 
             def lift(self, p, v):
                 return np.asarray(v)
 
-        # degenerate spectrum has coordinate eigenvectors; a reference
-        # orthogonal to both cannot exist in C^2, so build orthogonality
-        # against a rank-deficient report instead: use a 2x2 with
-        # eigenvectors e1, e2 and reference orthogonal to... that is
-        # impossible; instead check min_mac via a nearly-orthogonal ref.
+        # -I has the coordinate eigenvectors e1..e4; each matches ones(4)
+        # with MAC 1/4, below the 0.3 acceptance floor
         with pytest.raises(NoCandidate):
-            reinitialize(Fixed(), 0.0, np.array([1.0, 0.0]), min_mac=1.1)
-
-    def test_unknown_branch_rule(self, companion_provider):
-        with pytest.raises(ValueError):
-            reinitialize(companion_provider, 2.0, np.array([1.0, 0.0]),
-                         branch_rule="third")
+            reinitialize(Fixed(), 0.0, np.ones(4))
 
 
 class TestTrack:
@@ -635,6 +618,25 @@ class TestReinitPolicy:
             assert not traj.has_flag("reinitialized")
         for rec in traj:
             assert rec.s == pytest.approx(-1.0 + 1j * (0.5 - rec.p), abs=1e-9)
+
+
+class TestStepRegrowth:
+    def test_non_adaptive_step_returns_to_dp_init(self, companion_provider):
+        # the corrector fails at the fold p = 1 and the step is halved
+        # down to dp_min; after the re-initialization the sweep goes on
+        # with |dp_init| instead of staying at dp_min
+        init = companion_state(companion_provider, 1.1)
+        cfg = TrackerConfig(p_init=1.1, p_fin=0.9, dp_init=-0.01,
+                            predictor="fem",
+                            corrector=NewtonConfig(tol=1e-12),
+                            adapt=AdaptConfig(enabled=False),
+                            epsilon_imag=1e-6, reinit_policy="on_failure")
+        traj = track(companion_provider, init, cfg)
+        assert traj.has_flag("reinitialized")
+        assert traj[-1].p == pytest.approx(0.9, abs=1e-12)
+        assert len(traj) <= 64
+        k = next(i for i, pt in enumerate(traj) if "reinitialized" in pt.flags)
+        assert max(abs(pt.dp_used) for pt in traj[k + 1:]) == pytest.approx(0.01)
 
 
 class TestConvergenceOrder:
