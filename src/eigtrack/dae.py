@@ -16,7 +16,7 @@ continuation parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, runtime_checkable
 
 import numpy as np
@@ -125,10 +125,6 @@ class PencilSample:
     Edot: sp.csc_matrix
     Adot: sp.csc_matrix
     p: float
-
-    @property
-    def r(self) -> int:
-        return self.E.shape[0]
 
 
 def solve_equilibrium(model: DaeModel, p: float) -> Equilibrium:
@@ -331,7 +327,6 @@ class PencilProvider(Protocol):
 
     r: int
     n: int
-    m: int
     affine_in_p: bool
 
     def matrices(self, p: float): ...
@@ -341,8 +336,6 @@ class PencilProvider(Protocol):
     def reduced(self, p: float) -> np.ndarray: ...
 
     def lift(self, p: float, phi_x: np.ndarray) -> np.ndarray: ...
-
-    def clone(self) -> "PencilProvider": ...
 
 
 class ModelPencilProvider:
@@ -367,13 +360,9 @@ class ModelPencilProvider:
         self.model = model
         self.form = form
         self.n = model.n
-        self.m = model.m if form == "pencil" else 0
-        self.r = model.n + self.m
+        self.r = model.n + (model.m if form == "pencil" else 0)
         self.affine_in_p = model.affine_in_p
         self._cache: dict[float, tuple] = {}
-
-    def clone(self) -> "ModelPencilProvider":
-        return ModelPencilProvider(self.model, form=self.form)
 
     def _entry(self, p: float):
         """Memo entry ``(blocks, (E, A))`` at p, built on first use."""

@@ -16,19 +16,14 @@ spectrum discontinuity when a governor output limit activates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .dae import (
-    DaeModel,
-    ParamDescriptor,
-    PencilSample,
-    fd_matrix_derivatives,
-)
+from .dae import DaeModel, Equilibrium, ParamDescriptor, PencilSample
 from .errors import (
     DimensionMismatch,
     DisconnectedNetwork,
@@ -491,8 +486,6 @@ class _MultiMachine:
         return f_x, f_y, g_x, g_y
 
     def equilibrium(self, model, p):
-        from .dae import Equilibrium
-
         pf = self.pf(p)
         x0 = np.zeros(self.n)
         x0[0::self.per_mach] = pf.delta0
@@ -517,17 +510,13 @@ def make_multimachine(spec: Optional[MultiMachineSpec] = None,
     """
     spec = spec or MultiMachineSpec()
     core = _MultiMachine(spec, param)
-    k = spec.n_mach
 
     def T(p):
-        diag = []
-        for i in range(k):
-            diag.append(1.0)
-            diag.append(spec.inertia[i] if param != "inertia_scale"
-                        else spec.inertia[i] * p)
-            if spec.governors:
-                diag.append(spec.gov_T[i] if param != "gov_T" else p)
-        return sp.diags(diag, format="csc")
+        swept = _apply_param(spec, param, p)
+        cols = [np.ones(spec.n_mach), swept.inertia]
+        if spec.governors:
+            cols.append(swept.gov_T)
+        return sp.diags(np.column_stack(cols).ravel(), format="csc")
 
     model = DaeModel(
         n=core.n, m=core.m, f=core.f, g=core.g,
@@ -571,11 +560,7 @@ class SyntheticSparseProvider:
         self._A1 = sp.diags(rng.uniform(-1.0, 0.0, size), 0, format="csc")
         self._E = sp.identity(size, format="csc")
         self.n = self.r = size
-        self.m = 0
         self.affine_in_p = True
-
-    def clone(self):
-        return self
 
     def matrices(self, p):
         return self._E, as_csc(self._A0 + p * self._A1)
@@ -616,15 +601,11 @@ class FilePencilProvider:
         if shape[0] != shape[1]:
             raise DimensionMismatch("pencil matrices must be square")
         self.r = self.n = shape[0]
-        self.m = 0
         self.affine_in_p = False
         diffs = np.diff(self.p_values)
         if len(self.p_values) < 1 or (len(diffs) and not
                                       (np.all(diffs > 0) or np.all(diffs < 0))):
             raise ManifestError("parameter values must be strictly monotone")
-
-    def clone(self):
-        return self
 
     def _index(self, p):
         tol = 1e-9 * max(1.0, max(abs(q) for q in self.p_values))

@@ -103,6 +103,8 @@ class TrackerConfig:
     def __post_init__(self):
         if self.predictor not in ("fem", "rk4", "none"):
             raise ValueError(f"unknown predictor {self.predictor!r}")
+        if self.predictor == "none" and self.corrector is None:
+            raise ValueError("predictor 'none' needs a corrector")
         if self.reinit_policy not in ("never", "on_fold", "on_failure"):
             raise ValueError(f"unknown reinit policy {self.reinit_policy!r}")
         span = self.p_fin - self.p_init
@@ -407,6 +409,24 @@ def _record(state: TrackerState, E, A, dp_used: float, iters: int,
                            dp_used=dp_used, corrector_iters=iters, flags=flags)
 
 
+def _attempt(provider, state: TrackerState, dp: float, cfg: TrackerConfig):
+    """One predictor step of length dp, then the corrector if configured.
+
+    Returns ``(candidate, corrector iterations)``.  The predictor and the
+    corrector are looked up as module attributes on every call.
+    """
+    if cfg.predictor == "fem":
+        cand = predict_fem(provider.sample(state.p, cfg.h_p), state, dp)
+    elif cfg.predictor == "rk4":
+        cand = predict_rk4(provider, state, dp, cfg.h_p)
+    else:
+        cand = TrackerState(state.phi.copy(), state.s, state.p + dp)
+    if cfg.corrector is None:
+        return cand, 0
+    return correct_newton(provider.sample(cand.p, cfg.h_p), cand,
+                          tol=cfg.corrector.tol, max_iter=cfg.corrector.max_iter)
+
+
 def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
     """Run the full continuation sweep from cfg.p_init to cfg.p_fin.
 
@@ -429,7 +449,6 @@ def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
     :class:`EigtrackError` out of a step (a failed re-initialization, a
     parameter off a tabulated provider's grid) is re-raised as one.
     """
-    provider = provider.clone()
     traj = Trajectory()
     state = init.copy()
     state.p = cfg.p_init
@@ -455,81 +474,51 @@ def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
         while (cfg.p_fin - state.p) * sgn > ptol:
             remaining = cfg.p_fin - state.p
             dp_step = math.copysign(min(abs(dp), abs(remaining)), sgn)
-            cand = None
-            iters = 0
-            failure: Optional[Exception] = None
             while True:
                 try:
-                    if cfg.predictor == "fem":
-                        sample = provider.sample(state.p, cfg.h_p)
-                        cand = predict_fem(sample, state, dp_step)
-                    elif cfg.predictor == "rk4":
-                        cand = predict_rk4(provider, state, dp_step, cfg.h_p)
-                    else:
-                        cand = state.copy()
-                        cand.p = state.p + dp_step
-                    if cfg.corrector is not None:
-                        sample_new = provider.sample(cand.p, cfg.h_p)
-                        cand, iters = correct_newton(
-                            sample_new, cand, tol=cfg.corrector.tol,
-                            max_iter=cfg.corrector.max_iter)
+                    new, iters = _attempt(provider, state, dp_step, cfg)
                     failure = None
+                    ds = abs(new.s - state.s)
                 except (SingularMatrix, NoConvergence) as exc:
-                    failure = exc
-                    cand = None
-                ds = abs(cand.s - state.s) if cand is not None else math.inf
-                needs_retry = failure is not None or (
-                    cfg.predictor != "none" and ds > jump_bar)
-                if needs_retry and abs(dp_step) > cfg.dp_min * (1 + 1e-9):
+                    failure, ds = exc, math.inf
+                jumped = cfg.predictor != "none" and ds > jump_bar
+                if ((failure is not None or jumped)
+                        and abs(dp_step) > cfg.dp_min * (1 + 1e-9)):
                     dp_step = dp_step / 2.0
                     continue
                 break
 
+            flags = {"jump_detected"} if jumped else set()
             if failure is not None:
-                if cfg.reinit_policy == "on_failure":
-                    new = reinitialize(provider, state.p + dp_step, state.phi,
-                                       s_prev=state.s)
-                    flags = {"reinitialized"}
-                    ds = abs(new.s - state.s)
-                    if detect_fold(state, new, eps=eps_ref):
-                        flags.add("fold_detected")
-                    E, A = provider.matrices(new.p)
-                    traj.append(_record(new, E, A, dp_step, 0, flags))
-                    state = new
-                    dp = dp_base
-                    if cfg.adapt.enabled:
-                        dp = adapt_step(max(ds, 1e-300), dp_step, cfg.adapt,
-                                        cfg.dp_min, cfg.dp_max)
-                    continue
-                raise TrackingAborted(
-                    f"step from p={state.p} failed at dp_min: {failure}",
-                    trajectory=traj)
-
-            flags = set()
-            ds = abs(cand.s - state.s)
-            if cfg.predictor != "none" and ds > jump_bar:
-                if cfg.corrector is not None:
-                    flags.add("jump_detected")
-                else:
-                    E, A = provider.matrices(cand.p)
-                    flags.add("jump_detected")
-                    traj.append(_record(cand, E, A, dp_step, iters, flags))
+                if cfg.reinit_policy != "on_failure":
                     raise TrackingAborted(
-                        "predictor-only run cannot certify a trajectory jump "
-                        f"at p={cand.p}", trajectory=traj)
-            fold = detect_fold(state, cand, eps=eps_ref)
+                        f"step from p={state.p} failed at dp_min: {failure}",
+                        trajectory=traj)
+                new = reinitialize(provider, state.p + dp_step, state.phi,
+                                   s_prev=state.s)
+                iters, ds, flags = 0, abs(new.s - state.s), {"reinitialized"}
+            # a predictor-only jump is recorded, then aborts the sweep
+            uncertified = failure is None and jumped and cfg.corrector is None
+            fold = not uncertified and detect_fold(state, new, eps=eps_ref)
             if fold:
                 flags.add("fold_detected")
-            E, A = provider.matrices(cand.p)
-            traj.append(_record(cand, E, A, dp_step, iters, flags))
-            state = cand
-            if fold and cfg.reinit_policy == "on_fold":
-                new = reinitialize(provider, state.p, state.phi, s_prev=state.s)
-                traj.append(_record(new, E, A, 0.0, 0, {"reinitialized"}))
-                state = new
-            if cfg.reperturb and cfg.epsilon_imag and abs(state.s.imag) < eps_ref:
-                state = perturb_epsilon(
-                    replace_real(state), cfg.epsilon_imag * max(1.0, abs(state.s)))
+            E, A = provider.matrices(new.p)
+            traj.append(_record(new, E, A, dp_step, iters, flags))
+            if uncertified:
+                raise TrackingAborted(
+                    "predictor-only run cannot certify a trajectory jump "
+                    f"at p={new.p}", trajectory=traj)
+            state = new
+            if failure is None:
+                if fold and cfg.reinit_policy == "on_fold":
+                    state = reinitialize(provider, state.p, state.phi,
+                                         s_prev=state.s)
+                    traj.append(_record(state, E, A, 0.0, 0, {"reinitialized"}))
+                if (cfg.reperturb and cfg.epsilon_imag
+                        and abs(state.s.imag) < eps_ref):
+                    state = perturb_epsilon(
+                        replace_real(state),
+                        cfg.epsilon_imag * max(1.0, abs(state.s)))
             dp = dp_base
             if cfg.adapt.enabled:
                 dp = adapt_step(ds, dp_step, cfg.adapt, cfg.dp_min, cfg.dp_max)

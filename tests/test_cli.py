@@ -131,6 +131,15 @@ class TestTrack:
                    "--out", str(tmp_path / "t.csv")])
         assert rc == EXIT_CONFIG
 
+    def test_newton_only_without_corrector_is_config_error(self, tmp_path):
+        out = tmp_path / "t.csv"
+        rc = main(["track", "--model", "companion",
+                   "--from", "2", "--to", "1.5", "--dp", "-0.1",
+                   "--target-index", "0", "--integrator", "none",
+                   "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert not out.exists()
+
     def test_unknown_model_is_config_error(self, tmp_path):
         rc = main(["track", "--model", "nonsense",
                    "--from", "2", "--to", "1", "--dp", "0.1",

@@ -238,7 +238,6 @@ class TestFdMatrixDerivatives:
     def test_quadratic_parameter_dependence(self):
         class Quad:
             n = r = 1
-            m = 0
             affine_in_p = False
 
             def matrices(self, p):
@@ -251,7 +250,6 @@ class TestFdMatrixDerivatives:
     def test_constant_pencil_gives_exact_zero(self):
         class Const:
             n = r = 2
-            m = 0
             affine_in_p = True
 
             def matrices(self, p):
@@ -307,15 +305,6 @@ class TestModelPencilProvider:
     def test_unknown_form_rejected(self, companion_model):
         with pytest.raises(ValueError):
             ModelPencilProvider(companion_model, form="dense")
-
-    def test_clone_is_independent(self, coupled_dae_model):
-        prov = ModelPencilProvider(coupled_dae_model)
-        prov.matrices(0.5)
-        other = prov.clone()
-        assert other._cache == {}
-        E1, A1 = prov.matrices(0.5)
-        E2, A2 = other.matrices(0.5)
-        assert np.allclose(A1.toarray(), A2.toarray())
 
 
 @pytest.fixture

@@ -245,6 +245,19 @@ class TestMultiMachine:
         assert E1.shape == E2.shape
         assert A1.shape == A2.shape
 
+    @pytest.mark.parametrize("param, governors, expect", [
+        ("inertia_scale", True, [1.0, 3.0, 5.0, 1.0, 6.0, 7.0]),
+        ("gov_T", True, [1.0, 2.0, 1.5, 1.0, 4.0, 1.5]),
+        ("droop", False, [1.0, 2.0, 1.0, 4.0]),
+    ])
+    def test_mass_matrix_diagonal(self, param, governors, expect):
+        """T(p) = diag(1, M_i, T_gov,i) per machine, the swept entry at p."""
+        spec = MultiMachineSpec(n_mach=2, inertia=[2.0, 4.0],
+                                gov_T=[5.0, 7.0], governors=governors)
+        T = make_multimachine(spec, param=param).T(1.5)
+        assert T.format == "csc"
+        assert np.array_equal(T.toarray(), np.diag(expect))
+
     def test_disconnected_network_rejected(self):
         with pytest.raises(DisconnectedNetwork):
             make_multimachine(MultiMachineSpec(b_ring=0.0))
@@ -396,7 +409,7 @@ class TestSyntheticSparseProvider:
         E, A = prov.matrices(0.3)
         assert E.shape == (50, 50)
         assert (E != sp.identity(50, format="csc")).nnz == 0
-        assert prov.r == 50 and prov.m == 0
+        assert prov.r == 50
 
     def test_seed_reproducibility(self):
         a = SyntheticSparseProvider(size=30, seed=7).reduced(0.5)

@@ -32,7 +32,6 @@ class MatrixProvider:
     def __init__(self, fn, n):
         self.fn = fn
         self.n = self.r = n
-        self.m = 0
         self.affine_in_p = False
 
     def matrices(self, p):
@@ -44,9 +43,6 @@ class MatrixProvider:
 
     def lift(self, p, v):
         return np.asarray(v)
-
-    def clone(self):
-        return self
 
 
 def spring_chain():

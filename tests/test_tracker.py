@@ -301,7 +301,6 @@ class TestReinitialize:
     def test_picks_mac_best(self):
         class Diag:
             n = r = 2
-            m = 0
             affine_in_p = True
 
             def matrices(self, p):
@@ -313,16 +312,12 @@ class TestReinitialize:
             def lift(self, p, v):
                 return np.asarray(v)
 
-            def clone(self):
-                return self
-
         st_ = reinitialize(Diag(), 0.0, np.array([1.0, 0.0]))
         assert st_.s == pytest.approx(-1.0)
 
     def test_orthogonal_reference_no_candidate(self):
         class Fixed:
             n = r = 4
-            m = 0
             affine_in_p = True
 
             def matrices(self, p):
@@ -417,7 +412,6 @@ class TestTrack:
         # Pencil sequence with an abrupt spectrum change mid-sweep.
         class Jumpy:
             n = r = 1
-            m = 0
             affine_in_p = False
 
             def matrices(self, p):
@@ -435,9 +429,6 @@ class TestTrack:
             def lift(self, p, v):
                 return np.asarray(v)
 
-            def clone(self):
-                return self
-
         state = TrackerState(phi=np.array([1.0 + 0j]), s=-1.0, p=0.0)
         cfg = TrackerConfig(p_init=0.0, p_fin=1.0, dp_init=0.05,
                             predictor="none",
@@ -449,7 +440,6 @@ class TestTrack:
     def test_aborted_carries_partial_trajectory(self):
         class Breaks:
             n = r = 1
-            m = 0
             affine_in_p = False
 
             def matrices(self, p):
@@ -468,9 +458,6 @@ class TestTrack:
             def lift(self, p, v):
                 return np.asarray(v)
 
-            def clone(self):
-                return self
-
         state = TrackerState(phi=np.array([1.0 + 0j]), s=-1.0, p=0.0)
         cfg = TrackerConfig(p_init=0.0, p_fin=1.0, dp_init=0.1,
                             predictor="fem", corrector=NewtonConfig(),
@@ -487,6 +474,11 @@ class TestTrack:
         with pytest.raises(ValueError):
             TrackerConfig(p_init=0.0, p_fin=1.0, dp_init=0.1,
                           adapt=AdaptConfig(enabled=True, lo=0.1, hi=0.05))
+
+    def test_newton_only_needs_a_corrector(self):
+        with pytest.raises(ValueError, match="corrector"):
+            TrackerConfig(p_init=0.0, p_fin=1.0, dp_init=0.1,
+                          predictor="none", corrector=None)
 
     def test_concurrent_trackers_bitwise_identical(self, companion_model):
         from eigtrack.dae import ModelPencilProvider
@@ -516,7 +508,6 @@ class SampleBreaksPastHalf:
     re-initialization from the full spectrum still works."""
 
     n = r = 1
-    m = 0
     affine_in_p = True
 
     def matrices(self, p):
@@ -535,9 +526,6 @@ class SampleBreaksPastHalf:
     def lift(self, p, v):
         return np.asarray(v)
 
-    def clone(self):
-        return self
-
 
 class ImagAxisCrossing:
     """A(p) = [[-1, k w], [-w/k, -1]], E = I, w = 0.5 - p: the eigenvalue
@@ -546,7 +534,6 @@ class ImagAxisCrossing:
     defective point."""
 
     n = r = 2
-    m = 0
     affine_in_p = True
     k = 2.0
 
@@ -565,9 +552,6 @@ class ImagAxisCrossing:
 
     def lift(self, p, v):
         return np.asarray(v)
-
-    def clone(self):
-        return self
 
 
 class TestReinitPolicy:
