@@ -124,7 +124,6 @@ class PencilSample:
     A: sp.csc_matrix
     Edot: sp.csc_matrix
     Adot: sp.csc_matrix
-    p: float
 
 
 def solve_equilibrium(model: DaeModel, p: float) -> Equilibrium:
@@ -293,7 +292,8 @@ def reduce_state_matrix(blocks: ModelBlocks) -> np.ndarray:
 
 
 def lift_eigenvector(blocks: ModelBlocks, phi_x: np.ndarray) -> np.ndarray:
-    """Append algebraic components to a state-space right eigenvector.
+    """Append algebraic components to a state-space right eigenvector,
+    or to each column of a matrix of them.
 
     The algebraic part is -(g_y - R T^-1 f_y)^-1 (g_x - R T^-1 f_x) phi_x,
     yielding a vector in the (n+m)-dimensional pencil coordinates.
@@ -389,7 +389,7 @@ class ModelPencilProvider:
     def sample(self, p: float, h_p: Optional[float] = None) -> PencilSample:
         E, A = self.matrices(p)
         Edot, Adot = fd_matrix_derivatives(self, p, h_p)
-        return PencilSample(E=E, A=A, Edot=Edot, Adot=Adot, p=p)
+        return PencilSample(E=E, A=A, Edot=Edot, Adot=Adot)
 
     def reduced(self, p: float) -> np.ndarray:
         if self.form == "reduced":

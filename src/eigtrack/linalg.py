@@ -25,7 +25,6 @@ __all__ = [
     "LUFactorization",
     "lu_factor",
     "eig_dense",
-    "eig_residual",
     "as_csc",
     "read_matrix_market",
     "write_matrix_market",
@@ -111,13 +110,6 @@ def eig_dense(A, want_left: bool = False):
             used[j] = True
             left_vecs[i] = Vl[:, j]
     return [(w[i], V[:, i], left_vecs[i]) for i in range(len(w))]
-
-
-def eig_residual(A, s: complex, phi: np.ndarray) -> float:
-    """Relative residual ||A phi - s phi|| / (||A||_F ||phi||)."""
-    A = np.asarray(A)
-    r = np.linalg.norm(A @ phi - s * phi)
-    return float(r / (np.linalg.norm(A, "fro") * np.linalg.norm(phi)))
 
 
 def read_matrix_market(path) -> sp.csc_matrix:

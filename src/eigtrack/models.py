@@ -569,7 +569,7 @@ class SyntheticSparseProvider:
         E, A = self.matrices(p)
         return PencilSample(E=E, A=A,
                             Edot=as_csc(sp.csc_matrix(self._E.shape)),
-                            Adot=self._A1, p=p)
+                            Adot=self._A1)
 
     def reduced(self, p):
         _, A = self.matrices(p)
@@ -623,11 +623,11 @@ class FilePencilProvider:
         j = k + 1 if k + 1 < len(self.p_values) else k - 1
         if j < 0:
             zero = as_csc(sp.csc_matrix((self.r, self.r)))
-            return PencilSample(self._E[k], self._A[k], zero, zero, p)
+            return PencilSample(self._E[k], self._A[k], zero, zero)
         dpk = self.p_values[j] - self.p_values[k]
         Edot = as_csc((self._E[j] - self._E[k]) / dpk)
         Adot = as_csc((self._A[j] - self._A[k]) / dpk)
-        return PencilSample(self._E[k], self._A[k], Edot, Adot, p)
+        return PencilSample(self._E[k], self._A[k], Edot, Adot)
 
     def reduced(self, p):
         E, A = self.matrices(p)

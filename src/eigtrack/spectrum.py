@@ -64,14 +64,14 @@ def full_spectrum(provider, p: float,
 
     With ``pencil_coords=True``, right eigenvectors are lifted back to
     the (n+m)-dimensional pencil coordinates by appending the algebraic
-    components.
+    components; the eigenvector matrix is lifted in one call, so the
+    algebraic elimination runs once per spectrum.
     """
-    pairs = []
-    for s, right, _ in eig_dense(provider.reduced(p)):
-        if pencil_coords:
-            right = provider.lift(p, right)
-        pairs.append(EigenPair(s=s, right=right))
-    return pairs
+    eigs = eig_dense(provider.reduced(p))
+    vectors = [right for _, right, _ in eigs]
+    if pencil_coords and eigs:
+        vectors = provider.lift(p, np.column_stack(vectors)).T
+    return [EigenPair(s=s, right=v) for (s, _, _), v in zip(eigs, vectors)]
 
 
 def mac(a: np.ndarray, b: np.ndarray) -> float:

@@ -157,10 +157,6 @@ class Trajectory:
     def p_values(self) -> np.ndarray:
         return np.array([pt.p for pt in self.points])
 
-    @property
-    def s_values(self) -> np.ndarray:
-        return np.array([pt.s for pt in self.points])
-
     def has_flag(self, name: str) -> bool:
         return any(name in pt.flags for pt in self.points)
 
@@ -236,13 +232,9 @@ def init_from_eigenpair(E, A, s: complex, phi: np.ndarray,
     return TrackerState(phi=phi, s=complex(s), p=p)
 
 
-def assemble_system(sample, state: TrackerState):
-    """Bordered matrix M and right-hand side h of M [phi'; s'] = h.
-
-    M = [[sE - A, E phi], [phi^T, 0]] and h = [(Adot - s Edot) phi; 0]:
-    the differentiated eigenproblem and normalization phi^T phi' = 0.
-    """
-    E, A = sample.E, sample.A
+def assemble_system(E, A, state: TrackerState):
+    """Bordered matrix M = [[sE - A, E phi], [phi^T, 0]] at ``state``:
+    the predictors solve M [phi'; s'] = h, the corrector M delta = -G."""
     phi, s = state.phi, state.s
     r = len(phi)
     P = (s * E - A).tocoo()
@@ -250,15 +242,21 @@ def assemble_system(sample, state: TrackerState):
     rows = np.concatenate([P.row, border, np.full(r, r)])
     cols = np.concatenate([P.col, np.full(r, r), border])
     data = np.concatenate([P.data, E @ phi, phi])
-    M = sp.csc_matrix((data, (rows, cols)), shape=(r + 1, r + 1))
-    h = np.append(sample.Adot @ phi - s * (sample.Edot @ phi), 0.0)
-    return M, h
+    return sp.csc_matrix((data, (rows, cols)), shape=(r + 1, r + 1))
+
+
+def _velocity(sample, state: TrackerState) -> np.ndarray:
+    """[phi'; s'] from M [phi'; s'] = h with h = [(Adot - s Edot) phi; 0]:
+    the differentiated eigenproblem and normalization phi^T phi' = 0."""
+    M = assemble_system(sample.E, sample.A, state)
+    h = np.append(sample.Adot @ state.phi - state.s * (sample.Edot @ state.phi),
+                  0.0)
+    return lu_factor(M).solve(h)
 
 
 def predict_fem(sample, state: TrackerState, dp: float) -> TrackerState:
     """One explicit Euler step of length dp on M [phi'; s'] = h."""
-    M, h = assemble_system(sample, state)
-    ydot = lu_factor(M).solve(h)
+    ydot = _velocity(sample, state)
     return TrackerState(phi=state.phi + dp * ydot[:-1],
                         s=complex(state.s + dp * ydot[-1]),
                         p=state.p + dp)
@@ -270,20 +268,16 @@ def predict_rk4(provider, state: TrackerState, dp: float,
     p0 = state.p
     sample0 = provider.sample(p0, h_p)
     if provider.affine_in_p:
-        Edot, Adot = sample0.Edot, sample0.Adot
-
         def stage_sample(p):
             E0, A0 = provider.matrices(p)
-            return replace(sample0, E=E0, A=A0, Edot=Edot, Adot=Adot, p=p)
+            return replace(sample0, E=E0, A=A0)
     else:
         def stage_sample(p):
             return provider.sample(p, h_p)
 
     def F(p, y):
         st = TrackerState(phi=y[:-1], s=complex(y[-1]), p=p)
-        smp = sample0 if p == p0 else stage_sample(p)
-        M, h = assemble_system(smp, st)
-        return lu_factor(M).solve(h)
+        return _velocity(sample0 if p == p0 else stage_sample(p), st)
 
     y0 = np.append(state.phi, state.s)
     k1 = F(p0, y0)
@@ -294,17 +288,18 @@ def predict_rk4(provider, state: TrackerState, dp: float,
     return TrackerState(phi=y[:-1], s=complex(y[-1]), p=p0 + dp)
 
 
-def correct_newton(sample, state: TrackerState, tol: float = 1e-10,
+def correct_newton(pencil, state: TrackerState, tol: float = 1e-10,
                    max_iter: int = 10):
     """Newton refinement onto the exact eigenproblem manifold.
 
-    Solves G(phi, s) = [(sE-A)phi; phi^T phi - 1] = 0 in complex
-    arithmetic (G is analytic: no conjugation).  Its Jacobian is
-    diag(I, 2) M with M from :func:`assemble_system`, so each step
+    ``pencil`` is the pair (E, A) at ``state.p``; no parameter
+    derivative enters.  Solves G(phi, s) = [(sE-A)phi; phi^T phi - 1] = 0
+    in complex arithmetic (G is analytic: no conjugation).  Its Jacobian
+    is diag(I, 2) M with M from :func:`assemble_system`, so each step
     solves M delta = -[(sE-A)phi; (phi^T phi - 1)/2].
     Returns (state, iterations).
     """
-    E, A = sample.E, sample.A
+    E, A = pencil
     st = state.copy()
     ds_hist = [0.0, 0.0]
     for it in range(max_iter + 1):
@@ -327,7 +322,7 @@ def correct_newton(sample, state: TrackerState, tol: float = 1e-10,
             return st, it
         if it == max_iter:
             break
-        M, _ = assemble_system(sample, st)
+        M = assemble_system(E, A, st)
         delta = lu_factor(M).solve(-np.append(Pphi, nrm / 2))
         ds_hist.append(abs(delta[-1]))
         y = np.append(st.phi, st.s) + delta
@@ -412,8 +407,9 @@ def _record(state: TrackerState, E, A, dp_used: float, iters: int,
 def _attempt(provider, state: TrackerState, dp: float, cfg: TrackerConfig):
     """One predictor step of length dp, then the corrector if configured.
 
-    Returns ``(candidate, corrector iterations)``.  The predictor and the
-    corrector are looked up as module attributes on every call.
+    Returns ``(candidate, corrector iterations)``; the corrector reads
+    only the candidate's ``(E, A)``.  The predictor and the corrector
+    are looked up as module attributes on every call.
     """
     if cfg.predictor == "fem":
         cand = predict_fem(provider.sample(state.p, cfg.h_p), state, dp)
@@ -423,31 +419,31 @@ def _attempt(provider, state: TrackerState, dp: float, cfg: TrackerConfig):
         cand = TrackerState(state.phi.copy(), state.s, state.p + dp)
     if cfg.corrector is None:
         return cand, 0
-    return correct_newton(provider.sample(cand.p, cfg.h_p), cand,
+    return correct_newton(provider.matrices(cand.p), cand,
                           tol=cfg.corrector.tol, max_iter=cfg.corrector.max_iter)
 
 
 def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
     """Run the full continuation sweep from cfg.p_init to cfg.p_fin.
 
-    Per step: advance p, rebuild matrices and derivatives, run the
-    predictor and (optionally) the Newton corrector, adapt the step
-    from |Delta s|, and record the accepted state.  A step whose
-    corrector fails, or whose eigenvalue displacement exceeds four
-    times the high adaptation threshold, is retried with a halved step
-    down to dp_min; a displacement that survives at dp_min is accepted
-    as a flagged jump (corrector on).  The next step starts from
-    ``adapt_step`` of the accepted step when adaptivity is on, and from
-    ``|dp_init|`` again when it is off, so a halved step never pins the
-    rest of a non-adaptive sweep at dp_min.  ``cfg.reinit_policy`` decides
-    what else restarts from a full spectrum: ``on_failure`` replaces a
-    step that still fails at dp_min, ``on_fold`` follows every
-    fold-flagged accepted step, ``never`` does neither; a failure at
-    dp_min under ``never`` or ``on_fold`` aborts the sweep.  Raises
+    Per step: run the predictor from the accepted p (the only reader of
+    parameter derivatives) and optionally the Newton corrector on the
+    pencil at the new p, adapt the step from |Delta s|, and record the
+    accepted state.  A step whose corrector fails, or whose eigenvalue
+    displacement exceeds four times the high adaptation threshold, is
+    retried with a halved step down to dp_min; a displacement that survives
+    at dp_min is accepted as a flagged jump (corrector on).  The next step
+    starts from ``adapt_step`` of the accepted step when adaptivity is on,
+    and from ``|dp_init|`` again when it is off, so a halved step never
+    pins the rest of a non-adaptive sweep at dp_min.  ``cfg.reinit_policy``
+    decides what else restarts from a full spectrum: ``on_failure``
+    replaces a step that still fails at dp_min, ``on_fold`` follows every
+    fold-flagged accepted step, ``never`` does neither; a failure at dp_min
+    under ``never`` or ``on_fold`` aborts the sweep.  Raises
     :class:`TrackingAborted` (carrying the partial trajectory) on
-    unrecoverable failure; any other
-    :class:`EigtrackError` out of a step (a failed re-initialization, a
-    parameter off a tabulated provider's grid) is re-raised as one.
+    unrecoverable failure; any other :class:`EigtrackError` out of a step
+    (a failed re-initialization, a parameter off a tabulated provider's
+    grid) is re-raised as one.
     """
     traj = Trajectory()
     state = init.copy()

@@ -91,6 +91,28 @@ class TestFullSpectrum:
             res = np.linalg.norm(pair.s * (E @ pair.right) - A @ pair.right)
             assert res / np.linalg.norm(pair.right) <= 1e-6
 
+    def test_pencil_coordinates_one_elimination(self, monkeypatch):
+        # 18 modes of the droop pencil: the reduction and one lift of the
+        # whole eigenvector matrix factor T and the Schur complement twice
+        from eigtrack import dae
+        from eigtrack.models import MultiMachineSpec, make_multimachine
+
+        prov = ModelPencilProvider(
+            make_multimachine(MultiMachineSpec(), param="droop",
+                              p_init=0.2, p_fin=0.02), form="pencil")
+        E, A = prov.matrices(0.2)
+        lus = []
+        lu = dae.lu_factor
+        monkeypatch.setattr(dae, "lu_factor",
+                            lambda M: lus.append(M.shape) or lu(M))
+        pairs = full_spectrum(prov, 0.2, pencil_coords=True)
+        assert len(pairs) == prov.n == 18
+        assert len(lus) == 4
+        for pair in pairs:
+            assert len(pair.right) == prov.r
+            res = np.linalg.norm(pair.s * (E @ pair.right) - A @ pair.right)
+            assert res / np.linalg.norm(pair.right) <= 1e-8
+
 
 class TestMac:
     def test_identical_vectors(self):

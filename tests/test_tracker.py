@@ -16,7 +16,7 @@ from eigtrack.errors import (
     NoConvergence,
     TrackingAborted,
 )
-from eigtrack.linalg import as_csc, eig_dense, lu_factor
+from eigtrack.linalg import as_csc, eig_dense
 from eigtrack.models import companion_eigenvalues
 from eigtrack.spectrum import full_spectrum, mac
 from eigtrack.tracker import (
@@ -39,10 +39,20 @@ from eigtrack.tracker import (
 )
 
 
-def scalar_sample(a, adot=0.0, p=0.0):
-    return PencilSample(
-        E=as_csc(np.eye(1)), A=as_csc(np.array([[a]])),
-        Edot=as_csc(np.zeros((1, 1))), Adot=as_csc(np.array([[adot]])), p=p)
+def scalar_pencil(a):
+    return as_csc(np.eye(1)), as_csc(np.array([[a]]))
+
+
+def scalar_sample(a, adot=0.0):
+    E, A = scalar_pencil(a)
+    return PencilSample(E=E, A=A, Edot=as_csc(np.zeros((1, 1))),
+                        Adot=as_csc(np.array([[adot]])))
+
+
+def velocity(sample, state):
+    """[phi'; s'] as an explicit Euler step of length 1 moves the state."""
+    out = predict_fem(sample, state, 1.0)
+    return np.append(out.phi - state.phi, out.s - state.s)
 
 
 def companion_state(provider, p, which="imag_max"):
@@ -108,34 +118,38 @@ class TestAssembleSystem:
         # the continuation velocity is (phi', s') = (0, adot).
         adot = 0.37
         state = TrackerState(phi=np.array([1.0 + 0j]), s=-1.0, p=0.0)
-        M, h = assemble_system(scalar_sample(-1.0, adot=adot), state)
+        M = assemble_system(*scalar_pencil(-1.0), state)
         assert M.shape == (2, 2)
         assert np.iscomplexobj(M.toarray())
         assert np.allclose(M.toarray(), [[0, 1], [1, 0]])
-        assert np.allclose(h, [adot, 0])
-        ydot = np.linalg.solve(M.toarray(), h)
+        ydot = velocity(scalar_sample(-1.0, adot=adot), state)
         assert np.allclose(ydot, [0, adot])
+        assert np.allclose(M.toarray() @ ydot, [adot, 0])  # h
 
     def test_stationary_pencil_gives_zero_rhs(self):
         state = TrackerState(phi=np.array([1.0 + 0j]), s=-1.0, p=0.0)
-        _, h = assemble_system(scalar_sample(-1.0, adot=0.0), state)
-        assert np.allclose(h, 0.0)
+        M = assemble_system(*scalar_pencil(-1.0), state)
+        ydot = velocity(scalar_sample(-1.0, adot=0.0), state)
+        assert np.allclose(M.toarray() @ ydot, 0.0)
 
     def test_complex_rhs_is_adot_minus_s_edot_phi(self):
         # Complex pair: the first r entries of h are (Adot - s Edot) phi.
+        # The eigenvector [1, i] is isotropic (phi^T phi = 0, M singular),
+        # so h is read at a non-isotropic phi where M can be solved.
         Edot = np.array([[0.5, 0.0], [0.0, -0.25]])
         Adot = np.array([[1.0, 2.0], [0.0, 1.0]])
         sample = PencilSample(
             E=as_csc(np.eye(2)), A=as_csc(np.array([[-1.0, 1.0], [-1.0, -1.0]])),
-            Edot=as_csc(Edot), Adot=as_csc(Adot), p=0.0)
-        phi = np.array([1.0, 1.0j]) / np.sqrt(1 + 0j)
+            Edot=as_csc(Edot), Adot=as_csc(Adot))
+        phi = np.array([1.0, 0.5j])
         s = -1.0 + 1.0j
         state = TrackerState(phi=phi, s=s, p=0.0)
-        M, h = assemble_system(sample, state)
+        M = assemble_system(sample.E, sample.A, state)
         assert M.shape == (3, 3)
-        assert np.allclose(h[:2], (Adot - s * Edot) @ phi)
-        assert h[2] == 0
         dense = M.toarray()
+        h = dense @ velocity(sample, state)
+        assert np.allclose(h[:2], (Adot - s * Edot) @ phi)
+        assert abs(h[2]) <= 1e-12
         assert np.allclose(dense[:2, :2], s * np.eye(2) - sample.A.toarray())
         assert np.allclose(dense[:2, 2], phi)
         assert np.allclose(dense[2, :2], phi)
@@ -156,8 +170,7 @@ class TestAssembleSystem:
         for pair in full_spectrum(provider, p, pencil_coords=True):
             state = init_from_eigenpair(sample.E, sample.A, pair.s, pair.right,
                                         p=p)
-            M, rhs = assemble_system(sample, state)
-            sdot = lu_factor(M).solve(rhs)[-1]
+            sdot = velocity(sample, state)[-1]
             central = (oracle(p + h, pair.s) - oracle(p - h, pair.s)) / (2 * h)
             assert abs(sdot - central) <= 1e-4 * max(1.0, abs(central))
 
@@ -207,28 +220,28 @@ class TestPredictors:
 class TestCorrectNewton:
     def test_scalar_linear_single_iteration(self):
         state = TrackerState(phi=np.array([1.0 + 0j]), s=-0.99, p=0.0)
-        out, iters = correct_newton(scalar_sample(-1.0), state, tol=1e-12)
+        out, iters = correct_newton(scalar_pencil(-1.0), state, tol=1e-12)
         assert out.s == pytest.approx(-1.0, abs=1e-12)
         assert iters <= 2  # one Newton step plus the guard's confirmation
 
     def test_exact_input_zero_iterations(self):
         state = TrackerState(phi=np.array([1.0 + 0j]), s=-1.0, p=0.0)
-        out, iters = correct_newton(scalar_sample(-1.0), state)
+        out, iters = correct_newton(scalar_pencil(-1.0), state)
         assert iters == 0
         assert out.s == -1.0
 
     def test_far_start_with_tiny_budget_fails(self):
-        sample = PencilSample(
-            E=as_csc(np.eye(2)), A=as_csc(np.array([[0.0, 1.0], [-2.0, -3.0]])),
-            Edot=as_csc(np.zeros((2, 2))), Adot=as_csc(np.zeros((2, 2))), p=0.0)
+        pencil = (as_csc(np.eye(2)),
+                  as_csc(np.array([[0.0, 1.0], [-2.0, -3.0]])))
         state = TrackerState(phi=np.array([1.0, 5.0j]), s=40.0 + 7.0j, p=0.0)
         with pytest.raises(NoConvergence):
-            correct_newton(sample, state, max_iter=1)
+            correct_newton(pencil, state, max_iter=1)
 
     def test_restores_normalization(self, companion_provider):
         state = companion_state(companion_provider, 2.0)
         state.phi = state.phi * 1.01  # spoil the normalization
-        out, _ = correct_newton(companion_provider.sample(2.0), state, tol=1e-12)
+        out, _ = correct_newton(companion_provider.matrices(2.0), state,
+                                tol=1e-12)
         assert abs(out.phi @ out.phi - 1.0) <= 1e-10
 
 
@@ -421,7 +434,7 @@ class TestTrack:
             def sample(self, p, h_p=None):
                 E, A = self.matrices(p)
                 return PencilSample(E, A, as_csc(np.zeros((1, 1))),
-                                    as_csc(np.zeros((1, 1))), p)
+                                    as_csc(np.zeros((1, 1))))
 
             def reduced(self, p):
                 return self.matrices(p)[1].toarray()
@@ -450,7 +463,7 @@ class TestTrack:
             def sample(self, p, h_p=None):
                 E, A = self.matrices(p)
                 return PencilSample(E, A, as_csc(np.zeros((1, 1))),
-                                    as_csc(np.array([[-1.0]])), p)
+                                    as_csc(np.array([[-1.0]])))
 
             def reduced(self, p):
                 return self.matrices(p)[1].toarray()
@@ -480,6 +493,32 @@ class TestTrack:
             TrackerConfig(p_init=0.0, p_fin=1.0, dp_init=0.1,
                           predictor="none", corrector=None)
 
+    def test_derivatives_only_for_the_predictor(self, monkeypatch):
+        # FEM reads Edot/Adot once per step at the accepted p; the Newton
+        # corrector reads (E, A) at the candidate p and no derivative
+        from eigtrack import dae
+        from eigtrack.models import MultiMachineSpec, make_multimachine
+
+        model = make_multimachine(MultiMachineSpec(), param="droop",
+                                  p_init=0.2, p_fin=0.02)
+        provider = ModelPencilProvider(model, form="pencil")
+        pair = max((pr for pr in full_spectrum(provider, 0.2,
+                                               pencil_coords=True)
+                    if 0.05 < pr.s.imag < 2.0), key=lambda pr: pr.s.imag)
+        E, A = provider.matrices(0.2)
+        init = init_from_eigenpair(E, A, pair.s, pair.right, p=0.2)
+        cfg = TrackerConfig(p_init=0.2, p_fin=0.2 - 10 * 0.0018,
+                            dp_init=-0.0018, predictor="fem",
+                            corrector=NewtonConfig(tol=1e-10, max_iter=12),
+                            epsilon_imag=0.0)
+        calls = []
+        fd = dae.fd_matrix_derivatives
+        monkeypatch.setattr(dae, "fd_matrix_derivatives",
+                            lambda *a, **k: calls.append(a[1]) or fd(*a, **k))
+        traj = track(provider, init, cfg)
+        assert len(traj) == 11
+        assert calls == [pt.p for pt in traj[:-1]]
+
     def test_concurrent_trackers_bitwise_identical(self, companion_model):
         from eigtrack.dae import ModelPencilProvider
 
@@ -503,9 +542,10 @@ class TestTrack:
 
 
 class SampleBreaksPastHalf:
-    """A(p) = [-1 - p], E = [1]; ``sample`` (not ``matrices``) fails past
-    p = 0.5, so every step beyond it fails at dp_min while a
-    re-initialization from the full spectrum still works."""
+    """A(p) = [-1 - p], E = [1]; ``sample`` (not ``matrices``) fails from
+    p = 0.5 on, so the predictor of every step from there fails at dp_min
+    while the corrector (which reads ``matrices`` only) and a
+    re-initialization from the full spectrum still work."""
 
     n = r = 1
     affine_in_p = True
@@ -514,11 +554,11 @@ class SampleBreaksPastHalf:
         return as_csc(np.eye(1)), as_csc(np.array([[-1.0 - p]]))
 
     def sample(self, p, h_p=None):
-        if p > 0.5:
-            raise NoConvergence("derivatives unavailable past 0.5")
+        if p >= 0.5:
+            raise NoConvergence("derivatives unavailable from 0.5 on")
         E, A = self.matrices(p)
         return PencilSample(E, A, as_csc(np.zeros((1, 1))),
-                            as_csc(np.array([[-1.0]])), p)
+                            as_csc(np.array([[-1.0]])))
 
     def reduced(self, p):
         return self.matrices(p)[1].toarray()
@@ -545,7 +585,7 @@ class ImagAxisCrossing:
     def sample(self, p, h_p=None):
         E, A = self.matrices(p)
         Adot = as_csc(np.array([[0.0, -self.k], [1.0 / self.k, 0.0]]))
-        return PencilSample(E, A, as_csc(np.zeros((2, 2))), Adot, p)
+        return PencilSample(E, A, as_csc(np.zeros((2, 2))), Adot)
 
     def reduced(self, p):
         return self.matrices(p)[1].toarray()
