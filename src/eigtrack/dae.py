@@ -274,7 +274,7 @@ def _schur_pieces(blocks: ModelBlocks):
     S = blocks.g_y.toarray() - blocks.R @ Tinv_fy
     U = blocks.g_x.toarray() - blocks.R @ Tinv_fx
     try:
-        W = lu_factor(as_csc(S)).solve(U)
+        W = lu_factor(S).solve(U)
     except SingularMatrix as exc:
         raise SingularSchurComplement(str(exc)) from exc
     return lu_T, Tinv_fx, W

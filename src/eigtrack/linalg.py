@@ -3,11 +3,11 @@
 Sparse matrices, real or complex, are carried as
 ``scipy.sparse.csc_matrix``; dense matrices and vectors are plain numpy
 arrays.  The two entry points that the continuation core leans on are
-:func:`lu_factor` (sparse LU with an absolute pivot floor, so
-near-singular bordered matrices surface as
-:class:`~eigtrack.errors.SingularMatrix` instead of garbage solutions)
-and :func:`eig_dense` (full dense eigendecomposition used as
-initializer and reference oracle).
+:func:`lu_factor` (LU with an absolute pivot floor: dense LAPACK for a
+numpy array, SuperLU for anything else, so near-singular bordered
+matrices surface as :class:`~eigtrack.errors.SingularMatrix` instead of
+garbage solutions) and :func:`eig_dense` (full dense eigendecomposition
+used as initializer and reference oracle).
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import get_lapack_funcs
 
 from .errors import DimensionMismatch, NoConvergence, SingularMatrix
 
@@ -38,24 +39,49 @@ def as_csc(M) -> sp.csc_matrix:
     return A
 
 
-class LUFactorization:
-    """Immutable sparse LU factorization supporting repeated solves.
+class _DenseLU:
+    """LAPACK ``getrf`` factors of a dense matrix, solved by ``getrs``,
+    with the ``solve`` and ``nnz`` of SuperLU's factor object."""
 
-    Thin wrapper over SuperLU.  A factorization whose U diagonal
-    contains a pivot with magnitude at or below ``PIVOT_FLOOR`` is
-    rejected at construction time.
+    def __init__(self, M: np.ndarray):
+        getrf, self._getrs = get_lapack_funcs(("getrf", "getrs"), (M,))
+        # getrf's info > 0 (an exactly zero pivot) shows in diag(U)
+        self.lu, self._piv = getrf(M)[:2]
+        self.nnz = M.size  # L and U share one stored n-by-n array
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        if np.iscomplexobj(b) and not np.iscomplexobj(self.lu):
+            # as SuperLU does; getrs would drop the imaginary part
+            raise TypeError("complex right-hand side for a real factorization")
+        return self._getrs(self.lu, self._piv, b)[0]
+
+
+class LUFactorization:
+    """Immutable LU factorization supporting repeated solves.
+
+    A numpy array is factored with dense LAPACK (``getrf``/``getrs``);
+    any other input is converted to CSC and factored with SuperLU.  A
+    factorization whose U diagonal contains a pivot with magnitude at or
+    below ``PIVOT_FLOOR`` is rejected at construction time.
     """
 
     def __init__(self, M):
-        M = as_csc(M)
-        if M.shape[0] != M.shape[1]:
-            raise DimensionMismatch(f"matrix is {M.shape}, expected square")
+        if isinstance(M, np.ndarray):
+            if M.ndim != 2 or M.shape[0] != M.shape[1]:
+                raise DimensionMismatch(f"matrix is {M.shape}, expected square")
+            self._lu = _DenseLU(M)
+            diag = self._lu.lu.diagonal()
+        else:
+            M = as_csc(M)
+            if M.shape[0] != M.shape[1]:
+                raise DimensionMismatch(f"matrix is {M.shape}, expected square")
+            try:
+                self._lu = spla.splu(M)
+            except RuntimeError as exc:  # SuperLU signals exact singularity this way
+                raise SingularMatrix(str(exc)) from exc
+            diag = self._lu.U.diagonal()
         self.shape = M.shape
-        try:
-            self._lu = spla.splu(M)
-        except RuntimeError as exc:  # SuperLU signals exact singularity this way
-            raise SingularMatrix(str(exc)) from exc
-        diag = np.abs(self._lu.U.diagonal())
+        diag = np.abs(diag)
         if diag.size and diag.min() <= PIVOT_FLOOR:
             raise SingularMatrix(
                 f"pivot {diag.min():.3e} at or below floor {PIVOT_FLOOR:.3e}"
@@ -71,7 +97,8 @@ class LUFactorization:
 
 
 def lu_factor(M) -> LUFactorization:
-    """Sparse LU factorization of a square real or complex matrix.
+    """LU factorization of a square real or complex matrix: dense LAPACK
+    for a numpy array, SuperLU for a sparse (or other) matrix.
 
     Raises :class:`SingularMatrix` when a pivot falls at or below
     ``PIVOT_FLOOR``; callers interpret this as proximity to a

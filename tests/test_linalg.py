@@ -1,4 +1,4 @@
-"""Sparse LU, dense eigendecomposition, and Matrix Market I/O."""
+"""Sparse and dense LU, dense eigendecomposition, and Matrix Market I/O."""
 
 import numpy as np
 import pytest
@@ -42,6 +42,48 @@ class TestLuFactor:
         F = lu_factor(sp.identity(3, format="csc"))
         with pytest.raises(DimensionMismatch):
             F.solve(np.ones(4))
+
+
+class TestDenseLu:
+    """ndarray input takes the LAPACK path, CSC input SuperLU."""
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_dense_and_csc_solves_agree(self, dtype):
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((7, 7)) + np.diag(3.0 + rng.random(7))
+        B = rng.standard_normal((7, 2))
+        if dtype is complex:
+            M = M + 1j * rng.standard_normal((7, 7))
+            B = B + 1j * rng.standard_normal((7, 2))
+        dense, sparse = lu_factor(M), lu_factor(as_csc(M))
+        for b in (B[:, 0], B):
+            x, ref = dense.solve(b), sparse.solve(b)
+            assert x.shape == ref.shape and x.dtype == ref.dtype
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("M", [
+        np.diag([1.0, 1e-20]),
+        np.ones((2, 2)),
+        np.zeros((3, 3), dtype=complex),
+        np.array([[1.0, 2.0], [2.0, 4.0]]) * (1 + 1j),
+    ])
+    def test_pivot_floor_raises_singular(self, M):
+        with pytest.raises(SingularMatrix):
+            lu_factor(M)
+
+    @pytest.mark.parametrize("M", [np.ones((2, 3)), np.ones(3)])
+    def test_nonsquare_rejected(self, M):
+        with pytest.raises(DimensionMismatch):
+            lu_factor(M)
+
+    def test_rhs_dimension_checked(self):
+        with pytest.raises(DimensionMismatch):
+            lu_factor(np.eye(3)).solve(np.ones(4))
+
+    def test_complex_rhs_on_real_factor_rejected(self):
+        for M in (np.eye(2), sp.identity(2, format="csc")):
+            with pytest.raises(TypeError):
+                lu_factor(M).solve(np.array([1.0, 1j]))
 
 
 class TestLuSolve:

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from eigtrack import tracker
 from eigtrack.dae import ModelPencilProvider, PencilSample
 from eigtrack.errors import (
     DegenerateVector,
@@ -47,6 +48,11 @@ def scalar_sample(a, adot=0.0):
     E, A = scalar_pencil(a)
     return PencilSample(E=E, A=A, Edot=as_csc(np.zeros((1, 1))),
                         Adot=as_csc(np.array([[adot]])))
+
+
+def as_dense(M):
+    """assemble_system's M as an ndarray, whichever path built it."""
+    return M.toarray() if sp.issparse(M) else np.asarray(M)
 
 
 def velocity(sample, state):
@@ -120,17 +126,17 @@ class TestAssembleSystem:
         state = TrackerState(phi=np.array([1.0 + 0j]), s=-1.0, p=0.0)
         M = assemble_system(*scalar_pencil(-1.0), state)
         assert M.shape == (2, 2)
-        assert np.iscomplexobj(M.toarray())
-        assert np.allclose(M.toarray(), [[0, 1], [1, 0]])
+        assert np.iscomplexobj(as_dense(M))
+        assert np.allclose(as_dense(M), [[0, 1], [1, 0]])
         ydot = velocity(scalar_sample(-1.0, adot=adot), state)
         assert np.allclose(ydot, [0, adot])
-        assert np.allclose(M.toarray() @ ydot, [adot, 0])  # h
+        assert np.allclose(as_dense(M) @ ydot, [adot, 0])  # h
 
     def test_stationary_pencil_gives_zero_rhs(self):
         state = TrackerState(phi=np.array([1.0 + 0j]), s=-1.0, p=0.0)
         M = assemble_system(*scalar_pencil(-1.0), state)
         ydot = velocity(scalar_sample(-1.0, adot=0.0), state)
-        assert np.allclose(M.toarray() @ ydot, 0.0)
+        assert np.allclose(as_dense(M) @ ydot, 0.0)
 
     def test_complex_rhs_is_adot_minus_s_edot_phi(self):
         # Complex pair: the first r entries of h are (Adot - s Edot) phi.
@@ -146,13 +152,35 @@ class TestAssembleSystem:
         state = TrackerState(phi=phi, s=s, p=0.0)
         M = assemble_system(sample.E, sample.A, state)
         assert M.shape == (3, 3)
-        dense = M.toarray()
+        dense = as_dense(M)
         h = dense @ velocity(sample, state)
         assert np.allclose(h[:2], (Adot - s * Edot) @ phi)
         assert abs(h[2]) <= 1e-12
         assert np.allclose(dense[:2, :2], s * np.eye(2) - sample.A.toarray())
         assert np.allclose(dense[:2, 2], phi)
         assert np.allclose(dense[2, :2], phi)
+
+    def test_sparse_path_matches_dense(self, companion_provider, monkeypatch):
+        # r = 2 is below DENSE_LIMIT; DENSE_LIMIT = 0 forces the CSC path
+        state = companion_state(companion_provider, 2.0)
+        sample = companion_provider.sample(2.0)
+        pencil = companion_provider.matrices(2.05)
+        start = predict_fem(sample, state, 0.05)
+
+        def run():
+            fixed, iters = correct_newton(pencil, start, tol=1e-12)
+            return (assemble_system(sample.E, sample.A, state),
+                    velocity(sample, state), fixed, iters)
+
+        M_dense, v_dense, fix_dense, it_dense = run()
+        monkeypatch.setattr(tracker, "DENSE_LIMIT", 0)
+        M_sparse, v_sparse, fix_sparse, it_sparse = run()
+        assert isinstance(M_dense, np.ndarray) and sp.issparse(M_sparse)
+        assert np.array_equal(M_dense, M_sparse.toarray())
+        assert np.allclose(v_dense, v_sparse, rtol=1e-12, atol=1e-12)
+        assert it_dense == it_sparse > 0
+        assert abs(fix_dense.s - fix_sparse.s) <= 1e-12 * abs(fix_sparse.s)
+        assert np.allclose(fix_dense.phi, fix_sparse.phi, rtol=1e-12, atol=1e-12)
 
     def test_singular_e_velocity_matches_oracle(self, coupled_dae_model):
         # Pencil form of a DAE: E = [[T, R], [0, 0]] is singular.  For each
@@ -215,6 +243,19 @@ class TestPredictors:
             p = state.p
         oracle = companion_eigenvalues(2.0, 3.0)
         assert min(abs(state.s - r) for r in oracle) <= 1e-6
+
+    def test_rk4_samples_each_stage_p_once(self, coupled_dae_model):
+        # k2 and k3 both read the sample at p0 + dp/2
+        provider = ModelPencilProvider(coupled_dae_model, form="pencil")
+        assert not provider.affine_in_p
+        pair = full_spectrum(provider, 0.3, pencil_coords=True)[0]
+        E, A = provider.matrices(0.3)
+        state = init_from_eigenpair(E, A, pair.s, pair.right, p=0.3)
+        sampled = []
+        sample = provider.sample
+        provider.sample = lambda p, h_p=None: sampled.append(p) or sample(p, h_p)
+        predict_rk4(provider, state, 0.1)
+        assert sampled == pytest.approx([0.3, 0.35, 0.4])
 
 
 class TestCorrectNewton:
