@@ -12,7 +12,7 @@ from .models import (
     make_companion_fold,
     make_multimachine,
 )
-from .spectrum import full_spectrum, mac, pair_by_mac, participation_factors
+from .spectrum import best_match, full_spectrum, mac, participation_factors
 from .tracker import (
     AdaptConfig,
     NewtonConfig,

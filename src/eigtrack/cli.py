@@ -19,7 +19,7 @@ import numpy as np
 from . import models, spectrum as spec_mod, tracker
 from .dae import ModelPencilProvider
 from .errors import AmbiguousTarget, EigtrackError, TrackingAborted
-from .spectrum import damping_ratio, full_spectrum, mac
+from .spectrum import best_match, damping_ratio, full_spectrum
 from .tracker import AdaptConfig, NewtonConfig, TrackerConfig, Trajectory
 
 EXIT_OK = 0
@@ -62,13 +62,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corrector-tol", type=float)
     p.add_argument("--adaptive", action="store_true", default=None)
     p.add_argument("--eps", type=float, help="imaginary perturbation size")
-    p.add_argument("--reinit", choices=["never", "on_fold", "on_failure"],
-                   help="restart from a full spectrum: never (default; a "
-                   "step failing at the minimum dp aborts), on_fold (after "
-                   "each fold-flagged step; failures abort, so it cannot "
-                   "cross a defective fold such as the companion's at "
-                   "p=1), on_failure (in place of a step failing at the "
-                   "minimum dp; crosses defective folds)")
+    p.add_argument("--reinit", choices=["never", "on_failure"],
+                   help="a step failing at the minimum dp aborts (never, "
+                   "the default) or restarts from a full spectrum "
+                   "(on_failure; crosses defective folds)")
     p.add_argument("--json-out", help="also write a JSON trajectory here")
     p.add_argument("--vectors", action="store_true", default=None,
                    help="embed eigenvectors in the JSON output")
@@ -173,8 +170,7 @@ def select_target(pairs, cfg: dict) -> int:
     with open(cfg["target_ref"]) as fh:
         data = json.load(fh)
     ref = np.array(data["phi_re"]) + 1j * np.array(data.get("phi_im", 0.0))
-    best = max(range(len(pairs)), key=lambda i: mac(ref, pairs[i].right))
-    return best
+    return best_match(pairs, ref)[0]
 
 
 def tracker_config(cfg: dict) -> TrackerConfig:
@@ -239,8 +235,7 @@ def cmd_reference(cfg: dict) -> int:
     ref = spec_mod.reference_trajectory(provider, grid, seed,
                                         pencil_coords=pencil)
     traj = Trajectory()
-    for k, (p, i) in enumerate(zip(ref.p_values, ref.tracked_index)):
-        pair = ref.spectra[k][i]
+    for k, (p, pair) in enumerate(zip(ref.p_values, ref.pairs)):
         E, A = provider.matrices(p)
         flags = {"low_mac"} if k in ref.low_mac_steps else set()
         traj.append(tracker.TrajectoryPoint(

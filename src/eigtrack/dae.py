@@ -51,6 +51,7 @@ EQ_TOL = 1e-10
 EQ_MAX_ITER = 50
 EQ_STEP_TOL = 1e-12
 FD_DROP = 1e-12
+MEMO_SIZE = 64  # per-p entries a memo holds; the oldest goes first
 
 
 @dataclass
@@ -375,8 +376,8 @@ class ModelPencilProvider:
                           as_csc(reduce_state_matrix(blocks)))
             else:
                 pencil = assemble_pencil(blocks)
-            if len(self._cache) > 64:
-                self._cache.clear()
+            if len(self._cache) >= MEMO_SIZE:
+                del self._cache[next(iter(self._cache))]  # oldest entry
             got = self._cache[p] = (blocks, pencil)
         return got
 

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .dae import DaeModel, Equilibrium, ParamDescriptor, PencilSample
+from .dae import MEMO_SIZE, DaeModel, Equilibrium, ParamDescriptor, PencilSample
 from .errors import (
     DimensionMismatch,
     DisconnectedNetwork,
@@ -396,8 +396,8 @@ class _MultiMachine:
         got = self._pf_cache.get(p)
         if got is None:
             got = _PowerFlow(_apply_param(self.spec, self.param, p), self.lines)
-            if len(self._pf_cache) > 64:
-                self._pf_cache.clear()
+            if len(self._pf_cache) >= MEMO_SIZE:
+                del self._pf_cache[next(iter(self._pf_cache))]  # oldest entry
             self._pf_cache[p] = got
         return got
 

@@ -1,23 +1,26 @@
-"""Dense-oracle utilities: full spectra, MAC pairing, participation
-factors, and reference trajectories by repeated eigendecomposition."""
+"""Dense-oracle utilities: full spectra, the modal assurance criterion
+(MAC), :func:`best_match` (the one rule that re-finds a mode in a full
+spectrum, for re-initialization, reference trajectories and
+``--target-ref``), participation factors, and reference trajectories by
+repeated eigendecomposition."""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegeneratePair, ZeroVector
+from .errors import DegeneratePair, DimensionMismatch, NoCandidate, ZeroVector
 from .linalg import eig_dense
 
 __all__ = [
     "EigenPair",
     "ReferenceTrajectory",
+    "best_match",
     "full_spectrum",
     "mac",
-    "pair_by_mac",
     "participation_factors",
     "reference_trajectory",
     "damping_ratio",
@@ -38,13 +41,12 @@ class ReferenceTrajectory:
     """Repeated-eigendecomposition reference for one tracked mode."""
 
     p_values: List[float]
-    spectra: List[List[EigenPair]]
-    tracked_index: List[int]
+    pairs: List[EigenPair]  # the tracked pair at each p
     step_mac: List[float]
     low_mac_steps: List[int]
 
     def tracked_values(self) -> np.ndarray:
-        return np.array([spec[i].s for spec, i in zip(self.spectra, self.tracked_index)])
+        return np.array([pair.s for pair in self.pairs])
 
 
 def damping_ratio(s: complex) -> float:
@@ -85,37 +87,28 @@ def mac(a: np.ndarray, b: np.ndarray) -> float:
     return float(min(1.0, abs(np.vdot(a, b)) ** 2 / (na * nb)))
 
 
-def pair_by_mac(prev: Sequence[EigenPair], next: Sequence[EigenPair]):
-    """Greedy maximum-MAC matching from ``prev`` entries to ``next``.
+def best_match(pairs: Sequence[EigenPair], phi: np.ndarray,
+               s_ref: Optional[complex] = None) -> Tuple[int, float]:
+    """``(index, MAC)`` of the pair whose right eigenvector best matches
+    ``phi``: highest MAC first, then the eigenvalue nearest ``s_ref``,
+    then the lowest index.
 
-    Ties (MAC difference below 1e-12) are broken by smallest eigenvalue
-    distance.  Returns a list the length of ``prev``; unmatched entries
-    (when ``next`` is shorter) are None.
+    Raises :class:`NoCandidate` for an empty spectrum and
+    :class:`DimensionMismatch` when ``phi`` and the eigenvectors differ
+    in length.
     """
-    if not len(prev) or not len(next):
-        raise ValueError("pair_by_mac needs nonempty spectra")
-    nprev, nnext = len(prev), len(next)
-    macs = np.array([[mac(a.right, b.right) for b in next] for a in prev])
-    dist = np.array([[abs(a.s - b.s) for b in next] for a in prev])
-    mapping: List[Optional[int]] = [None] * nprev
-    free_prev = set(range(nprev))
-    free_next = set(range(nnext))
-    while free_prev and free_next:
-        best = None  # (mac, -distance, i, j)
-        for i in free_prev:
-            for j in free_next:
-                cand = (macs[i, j], -dist[i, j], i, j)
-                if best is None:
-                    best = cand
-                elif cand[0] > best[0] + 1e-12:
-                    best = cand
-                elif abs(cand[0] - best[0]) <= 1e-12 and cand[1] > best[1]:
-                    best = cand
-        _, _, i, j = best
-        mapping[i] = j
-        free_prev.remove(i)
-        free_next.remove(j)
-    return mapping
+    if not len(pairs):
+        raise NoCandidate("no spectrum entry to match")
+    phi = np.asarray(phi)
+    if phi.shape != pairs[0].right.shape:
+        raise DimensionMismatch(
+            f"reference vector has length {phi.size}, the spectrum's "
+            f"eigenvectors have length {pairs[0].right.size}")
+    neg_mac, _, i = min(
+        (-mac(phi, pair.right),
+         0.0 if s_ref is None else abs(pair.s - s_ref), i)
+        for i, pair in enumerate(pairs))
+    return i, -neg_mac
 
 
 def participation_factors(pairs: Sequence[EigenPair]) -> np.ndarray:
@@ -141,32 +134,26 @@ def participation_factors(pairs: Sequence[EigenPair]) -> np.ndarray:
 def reference_trajectory(provider, p_grid: Sequence[float], seed_index: int,
                          pencil_coords: bool = False,
                          low_mac: float = 0.98) -> ReferenceTrajectory:
-    """Track one mode across a parameter grid by chained MAC pairing.
+    """Track one mode across a parameter grid: at each p, the
+    :func:`best_match` of the previous tracked pair in the full spectrum.
 
-    A step whose best-MAC match for the tracked mode falls below
-    ``low_mac`` is flagged; this is the typical signature of an
-    eigenvector discontinuity (fold) inside that step.
+    A step whose best MAC falls below ``low_mac`` is flagged; this is
+    the typical signature of an eigenvector discontinuity (fold) inside
+    that step.
     """
     p_grid = list(p_grid)
-    spectra = [full_spectrum(provider, p_grid[0], pencil_coords)]
-    idx = [seed_index]
+    pairs = [full_spectrum(provider, p_grid[0], pencil_coords)[seed_index]]
     step_mac = [1.0]
     low = []
     for k, p in enumerate(p_grid[1:], start=1):
         spec = full_spectrum(provider, p, pencil_coords)
-        mapping = pair_by_mac(spectra[-1], spec)
-        j = mapping[idx[-1]]
-        if j is None:
-            j = int(np.argmin([abs(e.s - spectra[-1][idx[-1]].s) for e in spec]))
-        m = mac(spectra[-1][idx[-1]].right, spec[j].right)
+        j, m = best_match(spec, pairs[-1].right, pairs[-1].s)
         if m < low_mac:
             low.append(k)
-        spectra.append(spec)
-        idx.append(j)
+        pairs.append(spec[j])
         step_mac.append(m)
-    return ReferenceTrajectory(p_values=p_grid, spectra=spectra,
-                               tracked_index=idx, step_mac=step_mac,
-                               low_mac_steps=low)
+    return ReferenceTrajectory(p_values=p_grid, pairs=pairs,
+                               step_mac=step_mac, low_mac_steps=low)
 
 
 def write_spectrum_csv(path, pairs: Sequence[EigenPair]) -> None:

@@ -33,7 +33,8 @@ from .errors import (
     TrackingAborted,
 )
 from .linalg import lu_factor
-from .spectrum import full_spectrum, mac
+# mac stays bound here: perfbench/tracing.py wraps tracker.mac
+from .spectrum import best_match, full_spectrum, mac  # noqa: F401
 
 __all__ = [
     "TrackerState",
@@ -103,14 +104,14 @@ class TrackerConfig:
     epsilon_imag: float = 1e-6
     reperturb: bool = False
     h_p: Optional[float] = None
-    reinit_policy: str = "never"  # "never" | "on_fold" | "on_failure"
+    reinit_policy: str = "never"  # "never" | "on_failure"
 
     def __post_init__(self):
         if self.predictor not in ("fem", "rk4", "none"):
             raise ValueError(f"unknown predictor {self.predictor!r}")
         if self.predictor == "none" and self.corrector is None:
             raise ValueError("predictor 'none' needs a corrector")
-        if self.reinit_policy not in ("never", "on_fold", "on_failure"):
+        if self.reinit_policy not in ("never", "on_failure"):
             raise ValueError(f"unknown reinit policy {self.reinit_policy!r}")
         span = self.p_fin - self.p_init
         if span != 0.0 and self.dp_init * span <= 0:
@@ -409,22 +410,15 @@ def reinitialize(provider, p: float, reference_phi: np.ndarray,
                  s_prev: Optional[complex] = None) -> TrackerState:
     """Restart from a full eigendecomposition at p.
 
-    Picks the spectrum entry whose eigenvector best matches
-    ``reference_phi`` by MAC (ties broken by eigenvalue distance to
-    ``s_prev``) and raises :class:`NoCandidate` when that best MAC is
-    below ``MIN_MAC``.
+    Picks the :func:`~eigtrack.spectrum.best_match` of ``reference_phi``
+    (ties broken by eigenvalue distance to ``s_prev``) and raises
+    :class:`NoCandidate` when its MAC is below ``MIN_MAC``.
     """
     pairs = full_spectrum(provider, p, pencil_coords=provider.r != provider.n)
-    scored = []
-    for pair in pairs:
-        m = mac(reference_phi, pair.right)
-        d = abs(pair.s - s_prev) if s_prev is not None else 0.0
-        scored.append((m, d, pair))
-    scored.sort(key=lambda t: (-t[0], t[1]))
-    if not scored or scored[0][0] < MIN_MAC:
-        best = scored[0][0] if scored else 0.0
-        raise NoCandidate(f"best MAC {best:.3f} below {MIN_MAC} at p={p}")
-    pair = scored[0][2]
+    i, m = best_match(pairs, reference_phi, s_prev)
+    if m < MIN_MAC:
+        raise NoCandidate(f"best MAC {m:.3f} below {MIN_MAC} at p={p}")
+    pair = pairs[i]
     E, A = provider.matrices(p)
     return init_from_eigenpair(E, A, pair.s, pair.right, p=p)
 
@@ -467,11 +461,10 @@ def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
     at dp_min is accepted as a flagged jump (corrector on).  The next step
     starts from ``adapt_step`` of the accepted step when adaptivity is on,
     and from ``|dp_init|`` again when it is off, so a halved step never
-    pins the rest of a non-adaptive sweep at dp_min.  ``cfg.reinit_policy``
-    decides what else restarts from a full spectrum: ``on_failure``
-    replaces a step that still fails at dp_min, ``on_fold`` follows every
-    fold-flagged accepted step, ``never`` does neither; a failure at dp_min
-    under ``never`` or ``on_fold`` aborts the sweep.  Raises
+    pins the rest of a non-adaptive sweep at dp_min.  A step that still
+    fails at dp_min restarts from a full spectrum under
+    ``cfg.reinit_policy == "on_failure"`` and aborts the sweep under
+    ``"never"``.  Raises
     :class:`TrackingAborted` (carrying the partial trajectory) on
     unrecoverable failure; any other :class:`EigtrackError` out of a step
     (a failed re-initialization, a parameter off a tabulated provider's
@@ -537,16 +530,11 @@ def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
                     "predictor-only run cannot certify a trajectory jump "
                     f"at p={new.p}", trajectory=traj)
             state = new
-            if failure is None:
-                if fold and cfg.reinit_policy == "on_fold":
-                    state = reinitialize(provider, state.p, state.phi,
-                                         s_prev=state.s)
-                    traj.append(_record(state, E, A, 0.0, 0, {"reinitialized"}))
-                if (cfg.reperturb and cfg.epsilon_imag
-                        and abs(state.s.imag) < eps_ref):
-                    state = perturb_epsilon(
-                        replace_real(state),
-                        cfg.epsilon_imag * max(1.0, abs(state.s)))
+            if (failure is None and cfg.reperturb and cfg.epsilon_imag
+                    and abs(state.s.imag) < eps_ref):
+                state = perturb_epsilon(
+                    replace_real(state),
+                    cfg.epsilon_imag * max(1.0, abs(state.s)))
             dp = dp_base
             if cfg.adapt.enabled:
                 dp = adapt_step(ds, dp_step, cfg.adapt, cfg.dp_min, cfg.dp_max)

@@ -106,6 +106,18 @@ class TestTrack:
         assert rc == EXIT_OK
         assert Trajectory.from_csv(out)[0].s == pytest.approx(want.s, abs=1e-8)
 
+    def test_target_ref_wrong_length_is_config_error(self, tmp_path, capsys):
+        ref = tmp_path / "ref.json"
+        ref.write_text(json.dumps({"phi_re": [1.0, 0.0, 0.0]}))
+        rc = main(["track", "--model", "companion",
+                   "--from", "2", "--to", "1.9", "--dp", "0.1",
+                   "--target-ref", str(ref), "--corrector",
+                   "--out", str(tmp_path / "t.csv")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "reference vector has length 3" in err
+        assert "eigenvectors have length 2" in err
+
     def test_off_grid_step_aborts_with_partial_csv(self, tmp_path, capsys):
         # Step halving at the fold asks the tabulated provider for a p
         # between its grid points: a typed abort, not a config error.

@@ -382,6 +382,33 @@ class TestProviderMemo:
         assert dae_calls["solve_equilibrium"] <= 2 * steps + 2
         assert dae_calls["assemble_pencil"] <= 2 * steps + 2
 
+    def test_memos_evict_oldest_entry(self, dae_calls, monkeypatch):
+        # both the provider memo and the model's power-flow memo keep the
+        # newest MEMO_SIZE parameter values instead of starting over
+        from eigtrack import models
+
+        flows = Counter()
+        flow = models._PowerFlow
+        monkeypatch.setattr(models, "_PowerFlow",
+                            lambda *a: flows.update(["new"]) or flow(*a))
+        model = droop_model()
+        prov = ModelPencilProvider(model, form="pencil")
+        grid = [0.2 - 0.002 * k for k in range(70)]
+        for p in grid:
+            prov.matrices(p)
+        newest = grid[-dae.MEMO_SIZE:]
+        dae_calls.clear()
+        flows.clear()
+        for p in newest:
+            prov.matrices(p)
+        assert not dae_calls
+        for p in newest:
+            ModelPencilProvider(model, form="pencil").matrices(p)
+        assert dae_calls["solve_equilibrium"] == len(newest) == 64
+        assert not flows
+        prov.matrices(grid[0])
+        assert dae_calls["solve_equilibrium"] == 65
+
 
 class TestLinearize:
     def test_multimachine_provider_makes_no_fd_calls(self, dae_calls):

@@ -1,4 +1,4 @@
-"""Dense-oracle spectra, MAC pairing, participation factors, references."""
+"""Dense-oracle spectra, MAC matching, participation factors, references."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,15 @@ from eigtrack.dae import (
     assemble_pencil,
     reduce_state_matrix,
 )
-from eigtrack.errors import DegeneratePair, ZeroVector
+from eigtrack.errors import DegeneratePair, NoCandidate, ZeroVector
 from eigtrack.linalg import as_csc, eig_dense
 from eigtrack.spectrum import (
     EigenPair,
+    best_match,
     damping_ratio,
     frequency_hz,
     full_spectrum,
     mac,
-    pair_by_mac,
     participation_factors,
     reference_trajectory,
     write_spectrum_csv,
@@ -142,40 +142,48 @@ class TestMac:
         assert mac(scale * a, b) == pytest.approx(mac(a, b), abs=1e-9)
 
 
-class TestPairByMac:
+class TestBestMatch:
     def test_identity_on_same_list(self):
         pairs = full_spectrum(MatrixProvider(lambda p: spring_chain(), 4), 0.0)
-        assert pair_by_mac(pairs, pairs) == list(range(4))
+        assert [best_match(pairs, pr.right)[0] for pr in pairs] == list(range(4))
+        assert all(best_match(pairs, pr.right)[1] == pytest.approx(1.0)
+                   for pr in pairs)
 
     def test_recovers_permutation(self):
         pairs = full_spectrum(MatrixProvider(lambda p: spring_chain(), 4), 0.0)
         shuffled = [pairs[2], pairs[3], pairs[0], pairs[1]]
-        assert pair_by_mac(pairs, shuffled) == [2, 3, 0, 1]
+        assert [best_match(shuffled, pr.right, pr.s)[0]
+                for pr in pairs] == [2, 3, 0, 1]
 
     def test_crossing_modes_follow_eigenvectors(self):
         # Decoupled 2-mode family: eigenvalues cross at p = 0 but each
-        # keeps its own coordinate eigenvector.  Distance pairing at the
+        # keeps its own coordinate eigenvector.  Distance matching at the
         # crossing +/- delta would swap the labels; MAC must not.
         def A(p):
             return np.diag([-1.0 + p, -1.0 - p])
 
         before = full_spectrum(MatrixProvider(A, 2), -0.05)
         after = full_spectrum(MatrixProvider(A, 2), 0.05)
-        mapping = pair_by_mac(before, after)
-        for i, j in enumerate(mapping):
-            assert mac(before[i].right, after[j].right) == pytest.approx(1.0)
+        for pr in before:
+            j, m = best_match(after, pr.right, pr.s)
+            assert m == pytest.approx(1.0)
+            assert mac(pr.right, after[j].right) == pytest.approx(1.0)
         # the labels crossed in eigenvalue order: -1.05 -> -0.95
         assert before[0].s.real == pytest.approx(-1.05)
-        assert after[mapping[0]].s.real == pytest.approx(-0.95)
-
-    def test_short_next_leaves_unmatched(self):
-        pairs = full_spectrum(MatrixProvider(lambda p: spring_chain(), 4), 0.0)
-        mapping = pair_by_mac(pairs, pairs[:2])
-        assert mapping.count(None) == 2
+        j, _ = best_match(after, before[0].right, before[0].s)
+        assert after[j].s.real == pytest.approx(-0.95)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            pair_by_mac([], [])
+        with pytest.raises(NoCandidate):
+            best_match([], np.ones(2))
+
+    def test_equal_mac_tie_goes_to_nearer_s_then_first_index(self):
+        v = np.array([1.0 + 0j, 0.0])
+        pairs = [EigenPair(s=-3.0, right=v), EigenPair(s=-1.0, right=2j * v),
+                 EigenPair(s=0.0, right=np.array([0.0, 1.0 + 0j]))]
+        assert best_match(pairs, v, s_ref=-1.2) == (1, 1.0)
+        assert best_match(pairs, v, s_ref=-2.9) == (0, 1.0)
+        assert best_match(pairs, v) == (0, 1.0)
 
 
 class TestParticipationFactors:

@@ -641,7 +641,7 @@ class TestReinitPolicy:
                              predictor="fem", corrector=NewtonConfig(),
                              epsilon_imag=0.0, reinit_policy=policy)
 
-    @pytest.mark.parametrize("policy", ["never", "on_fold"])
+    @pytest.mark.parametrize("policy", ["never"])
     def test_failure_at_dp_min_aborts(self, policy):
         state = TrackerState(phi=np.array([1.0 + 0j]), s=-1.0, p=0.0)
         with pytest.raises(TrackingAborted) as exc_info:
@@ -660,7 +660,7 @@ class TestReinitPolicy:
         for rec in traj:
             assert rec.s.real == pytest.approx(-1.0 - rec.p, abs=1e-10)
 
-    @pytest.mark.parametrize("policy", ["never", "on_fold", "on_failure"])
+    @pytest.mark.parametrize("policy", ["never", "on_failure"])
     def test_reinitializes_after_fold_only_on_fold(self, policy):
         cfg = TrackerConfig(p_init=0.0, p_fin=1.0, dp_init=0.03,
                             predictor="fem", corrector=NewtonConfig(),
@@ -675,14 +675,15 @@ class TestReinitPolicy:
         assert len(folds) == 1
         i = folds[0]
         assert traj[i - 1].s.imag > 0 > traj[i].s.imag
-        if policy == "on_fold":
-            assert traj[i + 1].flags == {"reinitialized"}
-            assert traj[i + 1].p == traj[i].p
-            assert traj[i + 1].s == pytest.approx(traj[i].s, abs=1e-10)
-        else:
-            assert not traj.has_flag("reinitialized")
+        assert not traj.has_flag("reinitialized")
         for rec in traj:
             assert rec.s == pytest.approx(-1.0 + 1j * (0.5 - rec.p), abs=1e-9)
+
+    def test_on_fold_rejected(self):
+        # a restart after each fold-flagged step cannot cross a defective
+        # fold: the corrector fails there before any step is flagged
+        with pytest.raises(ValueError, match="on_fold"):
+            self.failing_cfg("on_fold")
 
 
 class TestStepRegrowth:
@@ -734,7 +735,7 @@ class TestTypedFailures:
     @given(p_init=st.floats(0.3, 2.5), p_fin=st.floats(0.3, 2.5),
            dp=st.floats(0.02, 0.5),
            predictor=st.sampled_from(["fem", "rk4", "none"]),
-           reinit=st.sampled_from(["never", "on_fold", "on_failure"]),
+           reinit=st.sampled_from(["never", "on_failure"]),
            max_iter=st.integers(1, 3), adapt=st.booleans(),
            epsilon=st.sampled_from([0.0, 1e-6]))
     def test_any_failure_is_typed(self, p_init, p_fin, dp, predictor,
