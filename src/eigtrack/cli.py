@@ -231,7 +231,7 @@ def cmd_reference(cfg: dict) -> int:
     grid = grid_from(cfg)
     pencil = provider.r != provider.n
     pairs = full_spectrum(provider, grid[0], pencil_coords=pencil)
-    seed = select_target(pairs, cfg)
+    seed = pairs[select_target(pairs, cfg)]
     ref = spec_mod.reference_trajectory(provider, grid, seed,
                                         pencil_coords=pencil)
     traj = Trajectory()

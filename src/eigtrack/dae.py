@@ -8,16 +8,16 @@ derivative coupling ``R(p) x'`` on the left:
     [R 0] [y'] = [g(x, y, p)]
 
 This module solves for equilibria, linearizes with the model's analytic
-Jacobians (finite differences when it has none), assembles the sparse
-pencil matrices (E, A), eliminates the algebraic variables to obtain
-the dense state matrix, and differentiates pencils with respect to the
-continuation parameter.
+Jacobians (finite differences when it has none), assembles the pencil
+matrices (E, A) (dense arrays below ``linalg.DENSE_LIMIT``, CSC above),
+eliminates the algebraic variables to obtain the dense state matrix,
+and differentiates pencils with respect to the continuation parameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, runtime_checkable
+from typing import Callable, Optional, Protocol, Union, runtime_checkable
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,7 +28,7 @@ from .errors import (
     SingularMatrix,
     SingularSchurComplement,
 )
-from .linalg import as_csc, lu_factor
+from .linalg import DENSE_LIMIT, as_csc, as_dense, lu_factor
 
 __all__ = [
     "ParamDescriptor",
@@ -52,6 +52,7 @@ EQ_MAX_ITER = 50
 EQ_STEP_TOL = 1e-12
 FD_DROP = 1e-12
 MEMO_SIZE = 64  # per-p entries a memo holds; the oldest goes first
+Matrix = Union[np.ndarray, sp.csc_matrix]  # dense below DENSE_LIMIT
 
 
 @dataclass
@@ -66,8 +67,8 @@ class DaeModel:
     """Semi-implicit DAE with n states and m algebraic variables.
 
     ``f`` and ``g`` must be pure functions of ``(x, y, p)``.  ``T`` and
-    ``R`` map a parameter value to sparse matrices of shape (n, n) and
-    (m, n).  ``jacobians``, when given, returns analytic
+    ``R`` map a parameter value to matrices (dense or sparse) of shape
+    (n, n) and (m, n).  ``jacobians``, when given, returns analytic
     ``(f_x, f_y, g_x, g_y)`` at ``(x, y, p)`` (dense or sparse) and
     drives every linearization (:func:`linearize`); models without it
     fall back to finite differences (:func:`fd_jacobians`).
@@ -81,8 +82,8 @@ class DaeModel:
     m: int
     f: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     g: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    T: Callable[[float], sp.spmatrix]
-    R: Callable[[float], sp.spmatrix]
+    T: Callable[[float], Matrix]
+    R: Callable[[float], Matrix]
     param: ParamDescriptor
     jacobians: Optional[Callable] = None
     equilibrium_solver: Optional[Callable] = None
@@ -92,14 +93,15 @@ class DaeModel:
 
 @dataclass
 class ModelBlocks:
-    """Linearization blocks evaluated at one equilibrium."""
+    """Linearization blocks evaluated at one equilibrium: dense arrays
+    below ``DENSE_LIMIT`` and CSC above it (see :func:`fd_jacobians`)."""
 
-    T: sp.csc_matrix
-    R: sp.csc_matrix
-    f_x: sp.csc_matrix
-    f_y: sp.csc_matrix
-    g_x: sp.csc_matrix
-    g_y: sp.csc_matrix
+    T: Matrix
+    R: Matrix
+    f_x: Matrix
+    f_y: Matrix
+    g_x: Matrix
+    g_y: Matrix
 
     @property
     def n(self) -> int:
@@ -119,12 +121,13 @@ class Equilibrium:
 
 @dataclass
 class PencilSample:
-    """Pencil matrices and their parameter derivatives at one p."""
+    """Pencil matrices and their parameter derivatives at one p: dense
+    arrays below ``DENSE_LIMIT``, CSC above it."""
 
-    E: sp.csc_matrix
-    A: sp.csc_matrix
-    Edot: sp.csc_matrix
-    Adot: sp.csc_matrix
+    E: Matrix
+    A: Matrix
+    Edot: Matrix
+    Adot: Matrix
 
 
 def solve_equilibrium(model: DaeModel, p: float) -> Equilibrium:
@@ -150,8 +153,8 @@ def solve_equilibrium(model: DaeModel, p: float) -> Equilibrium:
         F = resid(x, y)
         if np.max(np.abs(F), initial=0.0) <= EQ_TOL:
             return Equilibrium(x, y, p)
-        b = linearize(model, Equilibrium(x, y, p))
-        J = sp.bmat([[b.f_x, b.f_y], [b.g_x, b.g_y]], format="csc")
+        # the pencil's A = [[f_x, f_y], [g_x, g_y]] is the Jacobian of [f; g]
+        J = assemble_pencil(linearize(model, Equilibrium(x, y, p)))[1]
         try:
             step = lu_factor(J).solve(-F)
         except SingularMatrix as exc:
@@ -168,24 +171,29 @@ def solve_equilibrium(model: DaeModel, p: float) -> Equilibrium:
     raise NoConvergence(f"no equilibrium within {EQ_MAX_ITER} iterations")
 
 
-def _mass_blocks(model: DaeModel, p: float):
-    """``T(p)`` and ``R(p)`` as CSC; R is (0, n) when the model has m = 0."""
-    R = model.R(p) if model.m else sp.csc_matrix((0, model.n))
-    return as_csc(model.T(p)), as_csc(R)
+def _blocks(model: DaeModel, p: float, jac, dense: Optional[bool]) -> ModelBlocks:
+    """ModelBlocks of ``jac = (f_x, f_y, g_x, g_y)``, ``T(p)`` and ``R(p)``,
+    laid out as :func:`fd_jacobians` says."""
+    if dense is None:
+        dense = model.n + model.m < DENSE_LIMIT
+    R = model.R(p) if model.m else np.zeros((0, model.n))
+    return ModelBlocks(*(as_dense(B) if dense else as_csc(B)
+                         for B in (model.T(p), R, *jac)))
 
 
-def linearize(model: DaeModel, eq: Equilibrium) -> ModelBlocks:
+def linearize(model: DaeModel, eq: Equilibrium,
+              dense: Optional[bool] = None) -> ModelBlocks:
     """Jacobian blocks at ``eq``: the model's analytic ``jacobians`` when
-    it defines them, finite differences (:func:`fd_jacobians`) otherwise."""
+    it defines them, finite differences (:func:`fd_jacobians`) otherwise;
+    ``dense`` as in :func:`fd_jacobians`."""
     if model.jacobians is None:
-        return fd_jacobians(model, eq)
-    f_x, f_y, g_x, g_y = (as_csc(B) for B in model.jacobians(eq.x0, eq.y0, eq.p))
-    T, R = _mass_blocks(model, eq.p)
-    return ModelBlocks(T=T, R=R, f_x=f_x, f_y=f_y, g_x=g_x, g_y=g_y)
+        return fd_jacobians(model, eq, dense=dense)
+    return _blocks(model, eq.p, model.jacobians(eq.x0, eq.y0, eq.p), dense)
 
 
 def fd_jacobians(model: DaeModel, eq: Equilibrium, h_x: float = 1e-7,
-                 scheme: str = "forward") -> ModelBlocks:
+                 scheme: str = "forward",
+                 dense: Optional[bool] = None) -> ModelBlocks:
     """Finite-difference Jacobian blocks at an equilibrium.
 
     Always differences ``f`` and ``g``, whether or not the model has
@@ -193,8 +201,9 @@ def fd_jacobians(model: DaeModel, eq: Equilibrium, h_x: float = 1e-7,
     the reference the analytic blocks are tested against.  Column j is
     stepped by ``h_x (1 + |v_j|)``; forward differences by default
     (``scheme="central"`` for sensitivity studies and oracles).
-    Entries with magnitude below ``FD_DROP`` are removed from the sparse
-    result.
+    Entries with magnitude below ``FD_DROP`` are zeroed.  The blocks are
+    arrays when ``dense`` (by default when n + m < ``DENSE_LIMIT``), CSC
+    otherwise.
     """
     if h_x <= 0:
         raise ValueError("h_x must be positive")
@@ -227,34 +236,28 @@ def fd_jacobians(model: DaeModel, eq: Equilibrium, h_x: float = 1e-7,
         f_y = np.empty((n, 0))
         g_y = np.empty((0, 0))
 
-    def sparsify(M):
-        M = np.where(np.abs(M) < FD_DROP, 0.0, M)
-        return as_csc(M)
-
-    T, R = _mass_blocks(model, p)
-    return ModelBlocks(
-        T=T, R=R,
-        f_x=sparsify(f_x), f_y=sparsify(f_y),
-        g_x=sparsify(g_x), g_y=sparsify(g_y),
-    )
+    jac = (np.where(np.abs(M) < FD_DROP, 0.0, M) for M in (f_x, f_y, g_x, g_y))
+    return _blocks(model, p, jac, dense)
 
 
 def assemble_pencil(blocks: ModelBlocks):
-    """Sparse pencil matrices E = [[T, 0], [R, 0]], A = [[f_x, f_y], [g_x, g_y]]."""
+    """Pencil matrices E = [[T, 0], [R, 0]], A = [[f_x, f_y], [g_x, g_y]]
+    in the layout (dense or CSC) of the blocks."""
     n, m = blocks.n, blocks.m
     if blocks.T.shape != (n, n) or blocks.R.shape != (m, n):
         raise DimensionMismatch("T/R dimensions inconsistent")
     if (blocks.f_x.shape != (n, n) or blocks.f_y.shape != (n, m)
             or blocks.g_x.shape != (m, n) or blocks.g_y.shape != (m, m)):
         raise DimensionMismatch("Jacobian block dimensions inconsistent")
-    if m:
-        E = sp.bmat([[blocks.T, sp.csc_matrix((n, m))],
-                     [blocks.R, sp.csc_matrix((m, m))]], format="csc")
-        A = sp.bmat([[blocks.f_x, blocks.f_y],
-                     [blocks.g_x, blocks.g_y]], format="csc")
-    else:
-        E = blocks.T.copy()
-        A = blocks.f_x.copy()
+    if isinstance(blocks.T, np.ndarray):
+        E, A = np.zeros((n + m, n + m)), np.empty((n + m, n + m))
+        E[:n, :n], E[n:, :n] = blocks.T, blocks.R
+        A[:n, :n], A[:n, n:] = blocks.f_x, blocks.f_y
+        A[n:, :n], A[n:, n:] = blocks.g_x, blocks.g_y
+        return E, A
+    E = sp.bmat([[blocks.T, sp.csc_matrix((n, m))],
+                 [blocks.R, sp.csc_matrix((m, m))]], format="csc")
+    A = sp.bmat([[blocks.f_x, blocks.f_y], [blocks.g_x, blocks.g_y]], format="csc")
     return as_csc(E), as_csc(A)
 
 
@@ -268,12 +271,12 @@ def _schur_pieces(blocks: ModelBlocks):
         lu_T = lu_factor(blocks.T)
     except SingularMatrix as exc:
         raise SingularMatrix(f"T singular in reduction: {exc}")
-    Tinv_fx = lu_T.solve(blocks.f_x.toarray())
+    Tinv_fx = lu_T.solve(as_dense(blocks.f_x))
     if blocks.m == 0:
         return lu_T, Tinv_fx, None
-    Tinv_fy = lu_T.solve(blocks.f_y.toarray())
-    S = blocks.g_y.toarray() - blocks.R @ Tinv_fy
-    U = blocks.g_x.toarray() - blocks.R @ Tinv_fx
+    Tinv_fy = lu_T.solve(as_dense(blocks.f_y))
+    S = as_dense(blocks.g_y) - blocks.R @ Tinv_fy
+    U = as_dense(blocks.g_x) - blocks.R @ Tinv_fx
     try:
         W = lu_factor(S).solve(U)
     except SingularMatrix as exc:
@@ -289,7 +292,7 @@ def reduce_state_matrix(blocks: ModelBlocks) -> np.ndarray:
     lu_T, Tinv_fx, W = _schur_pieces(blocks)
     if blocks.m == 0:
         return Tinv_fx
-    return Tinv_fx - lu_T.solve(blocks.f_y.toarray() @ W)
+    return Tinv_fx - lu_T.solve(as_dense(blocks.f_y) @ W)
 
 
 def lift_eigenvector(blocks: ModelBlocks, phi_x: np.ndarray) -> np.ndarray:
@@ -306,9 +309,10 @@ def lift_eigenvector(blocks: ModelBlocks, phi_x: np.ndarray) -> np.ndarray:
 
 
 def fd_matrix_derivatives(provider, p: float, h_p: Optional[float] = None):
-    """First-order forward differences of (E, A) with respect to p.
+    """First-order forward differences of (E, A) with respect to p, in
+    the pencil's layout.
 
-    The sparsity pattern of the result is the union of the two samples'
+    A CSC result's sparsity pattern is the union of the two samples'
     patterns, so parameter-dependent fill is never silently dropped.
     """
     if h_p is None:
@@ -317,9 +321,7 @@ def fd_matrix_derivatives(provider, p: float, h_p: Optional[float] = None):
         raise ValueError("h_p must be positive")
     E0, A0 = provider.matrices(p)
     E1, A1 = provider.matrices(p + h_p)
-    Edot = as_csc((E1 - E0) / h_p)
-    Adot = as_csc((A1 - A0) / h_p)
-    return Edot, Adot
+    return (E1 - E0) / h_p, (A1 - A0) / h_p
 
 
 @runtime_checkable
@@ -346,13 +348,14 @@ class ModelPencilProvider:
     (:func:`linearize`: analytic Jacobians when the model has them,
     finite differences otherwise), and assembles the pencil.
     ``form="reduced"`` eliminates the algebraic variables so the tracker
-    runs on the dense n-by-n state matrix with E = I instead of the
-    sparse (n+m) pencil.  One memo entry per p holds the blocks and the
-    ``(E, A)`` built from them, so every later ``matrices``/``sample``
-    call at that p (the next step's predictor, the trajectory record,
-    the derivative stencil) reuses them; callers must not modify the
-    returned matrices.  The memo is a pure cache: every entry depends on
-    p alone, never on which p were visited before.
+    runs on the n-by-n state matrix with E = I instead of the (n+m)
+    pencil; both are dense arrays below ``DENSE_LIMIT`` and CSC above.
+    One memo entry per p holds the blocks (views of a dense E and A)
+    and the ``(E, A)`` built from them, so every later
+    ``matrices``/``sample`` call at that p (the next step's predictor,
+    the trajectory record, the derivative stencil) reuses them; callers
+    must not modify the returned matrices.  The memo is a pure cache:
+    every entry depends on p alone, never on which p were visited before.
     """
 
     def __init__(self, model: DaeModel, form: str = "pencil"):
@@ -369,13 +372,18 @@ class ModelPencilProvider:
         """Memo entry ``(blocks, (E, A))`` at p, built on first use."""
         got = self._cache.get(p)
         if got is None:
-            eq = solve_equilibrium(self.model, p)
-            blocks = linearize(self.model, eq)
+            dense = self.r < DENSE_LIMIT
+            blocks = linearize(self.model, solve_equilibrium(self.model, p), dense)
             if self.form == "reduced":
-                pencil = (as_csc(sp.identity(self.n, format="csc")),
-                          as_csc(reduce_state_matrix(blocks)))
+                A = reduce_state_matrix(blocks)
+                pencil = ((np.eye(self.n), A) if dense else
+                          (as_csc(sp.identity(self.n)), as_csc(A)))
             else:
-                pencil = assemble_pencil(blocks)
+                pencil = (E, A) = assemble_pencil(blocks)
+                if dense:  # the memo keeps E and A once
+                    n = self.n
+                    blocks = ModelBlocks(E[:n, :n], E[n:, :n], A[:n, :n],
+                                         A[:n, n:], A[n:, :n], A[n:, n:])
             if len(self._cache) >= MEMO_SIZE:
                 del self._cache[next(iter(self._cache))]  # oldest entry
             got = self._cache[p] = (blocks, pencil)
@@ -394,7 +402,7 @@ class ModelPencilProvider:
 
     def reduced(self, p: float) -> np.ndarray:
         if self.form == "reduced":
-            return self.matrices(p)[1].toarray()
+            return as_dense(self.matrices(p)[1]).copy()
         return reduce_state_matrix(self.blocks(p))
 
     def lift(self, p: float, phi_x: np.ndarray) -> np.ndarray:

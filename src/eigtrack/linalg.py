@@ -20,13 +20,20 @@ from scipy.linalg import get_lapack_funcs
 from .errors import DimensionMismatch, NoConvergence, SingularMatrix
 
 PIVOT_FLOOR = 1e-14
+# Pencils of order below this are dense arrays, larger ones CSC: below it
+# scipy.sparse's per-call overhead costs more than the arithmetic.  One
+# bordered assemble, LU and solve on the tridiagonal SyntheticSparseProvider
+# pencil is 0.1x the sparse time at r = 32, 0.9x at 128 and 1.4x at 144.
+DENSE_LIMIT = 128
 
 __all__ = [
     "PIVOT_FLOOR",
+    "DENSE_LIMIT",
     "LUFactorization",
     "lu_factor",
     "eig_dense",
     "as_csc",
+    "as_dense",
     "read_matrix_market",
     "write_matrix_market",
 ]
@@ -39,12 +46,19 @@ def as_csc(M) -> sp.csc_matrix:
     return A
 
 
+def as_dense(M) -> np.ndarray:
+    """A numpy array as it is; a sparse matrix as a new dense array."""
+    return M.toarray() if sp.issparse(M) else np.asarray(M)
+
+
 class _DenseLU:
     """LAPACK ``getrf`` factors of a dense matrix, solved by ``getrs``,
     with the ``solve`` and ``nnz`` of SuperLU's factor object."""
 
     def __init__(self, M: np.ndarray):
-        getrf, self._getrs = get_lapack_funcs(("getrf", "getrs"), (M,))
+        getrf, self._getrs, self._gesv = get_lapack_funcs(
+            ("getrf", "getrs", "gesv"), (M,))
+        self._M = M
         # getrf's info > 0 (an exactly zero pivot) shows in diag(U)
         self.lu, self._piv = getrf(M)[:2]
         self.nnz = M.size  # L and U share one stored n-by-n array
@@ -53,6 +67,9 @@ class _DenseLU:
         if np.iscomplexobj(b) and not np.iscomplexobj(self.lu):
             # as SuperLU does; getrs would drop the imaginary part
             raise TypeError("complex right-hand side for a real factorization")
+        if b.ndim == 2:  # OpenBLAS's getrs wakes its threads even at n = 2,
+            # a 1-20 ms stall; gesv factors M again on this thread as fast
+            return self._gesv(self._M, b)[2]
         return self._getrs(self.lu, self._piv, b)[0]
 
 

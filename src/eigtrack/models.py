@@ -72,8 +72,8 @@ def make_companion_fold(c: float = 2.0, p_init: float = 2.0,
 
     return DaeModel(
         n=2, m=0, f=f, g=g,
-        T=lambda p: sp.identity(2, format="csc"),
-        R=lambda p: sp.csc_matrix((0, 2)),
+        T=lambda p: np.eye(2),
+        R=lambda p: np.zeros((0, 2)),
         param=ParamDescriptor("p", p_init, p_fin),
         jacobians=jac,
         guess=(np.zeros(2), np.empty(0)),

@@ -131,18 +131,19 @@ def participation_factors(pairs: Sequence[EigenPair]) -> np.ndarray:
     return P
 
 
-def reference_trajectory(provider, p_grid: Sequence[float], seed_index: int,
+def reference_trajectory(provider, p_grid: Sequence[float], seed: EigenPair,
                          pencil_coords: bool = False,
                          low_mac: float = 0.98) -> ReferenceTrajectory:
-    """Track one mode across a parameter grid: at each p, the
-    :func:`best_match` of the previous tracked pair in the full spectrum.
+    """Track one mode across a parameter grid: ``seed`` is the mode's
+    pair in the full spectrum at ``p_grid[0]``, and at each later p the
+    :func:`best_match` of the previous tracked pair is taken.
 
     A step whose best MAC falls below ``low_mac`` is flagged; this is
     the typical signature of an eigenvector discontinuity (fold) inside
     that step.
     """
     p_grid = list(p_grid)
-    pairs = [full_spectrum(provider, p_grid[0], pencil_coords)[seed_index]]
+    pairs = [seed]
     step_mac = [1.0]
     low = []
     for k, p in enumerate(p_grid[1:], start=1):

@@ -32,7 +32,7 @@ from .errors import (
     SingularMatrix,
     TrackingAborted,
 )
-from .linalg import lu_factor
+from .linalg import DENSE_LIMIT, as_dense, lu_factor
 # mac stays bound here: perfbench/tracing.py wraps tracker.mac
 from .spectrum import best_match, full_spectrum, mac  # noqa: F401
 
@@ -60,11 +60,6 @@ NORM_TOL = 1e-10
 STEP_TOL = 1e-9
 INIT_RES_TOL = 1e-6  # largest residual accepted for an initial eigenpair
 MIN_MAC = 0.3  # weakest eigenvector match a re-initialization accepts
-# Below this r, building and factoring the bordered system as a dense
-# array costs less than scipy.sparse's per-call overhead.  One assemble,
-# LU and solve on the tridiagonal SyntheticSparseProvider pencil is 0.1x
-# the sparse time at r = 32, 0.9x at r = 128 and 1.4x at r = 144.
-DENSE_LIMIT = 128
 
 
 @dataclass
@@ -214,7 +209,8 @@ def residual(E, A, s: complex, phi: np.ndarray) -> float:
 
 
 def _fro_norms(E, A):
-    return sp.linalg.norm(E, "fro"), sp.linalg.norm(A, "fro")
+    return tuple(sp.linalg.norm(M, "fro") if sp.issparse(M) else np.linalg.norm(M)
+                 for M in (E, A))
 
 
 def _relative(Pphi: np.ndarray, s: complex, phi: np.ndarray, norms) -> float:
@@ -252,18 +248,19 @@ def assemble_system(E, A, state: TrackerState):
     the predictors solve M [phi'; s'] = h, the corrector M delta = -G.
 
     M is a dense complex array when r < ``DENSE_LIMIT`` and a sparse CSC
-    matrix otherwise; :func:`~eigtrack.linalg.lu_factor` takes either.
+    matrix otherwise, whichever layout E and A come in;
+    :func:`~eigtrack.linalg.lu_factor` takes either.
     """
     phi, s = state.phi, state.s
     r = len(phi)
     if r < DENSE_LIMIT:
         M = np.empty((r + 1, r + 1), dtype=complex)
-        M[:r, :r] = s * E.toarray() - A.toarray()
+        M[:r, :r] = as_dense(s * E - A)
         M[:r, r] = E @ phi
         M[r, :r] = phi
         M[r, r] = 0.0
         return M
-    P = (s * E - A).tocoo()
+    P = sp.coo_matrix(s * E - A)
     border = np.arange(r)
     rows = np.concatenate([P.row, border, np.full(r, r)])
     cols = np.concatenate([P.col, np.full(r, r), border])
@@ -288,15 +285,15 @@ def predict_fem(sample, state: TrackerState, dp: float) -> TrackerState:
                         p=state.p + dp)
 
 
-def predict_rk4(provider, state: TrackerState, dp: float,
+def predict_rk4(provider, sample0, state: TrackerState, dp: float,
                 h_p: Optional[float] = None) -> TrackerState:
     """Classical 4-stage Runge-Kutta step; matrices rebuilt per stage.
 
-    Each distinct stage parameter is sampled once: k2 and k3 share the
-    sample at p0 + dp/2.
+    ``sample0`` is the provider's sample at ``state.p``.  Each other
+    distinct stage parameter is sampled once: k2 and k3 share the sample
+    at p0 + dp/2.
     """
     p0 = state.p
-    sample0 = provider.sample(p0, h_p)
     if provider.affine_in_p:
         def stage_sample(p):
             E0, A0 = provider.matrices(p)
@@ -430,17 +427,19 @@ def _record(state: TrackerState, E, A, dp_used: float, iters: int,
                            dp_used=dp_used, corrector_iters=iters, flags=flags)
 
 
-def _attempt(provider, state: TrackerState, dp: float, cfg: TrackerConfig):
-    """One predictor step of length dp, then the corrector if configured.
+def _attempt(provider, sample, state: TrackerState, dp: float,
+             cfg: TrackerConfig):
+    """One predictor step of length dp from ``sample`` (at ``state.p``;
+    None without a predictor), then the corrector if configured.
 
     Returns ``(candidate, corrector iterations)``; the corrector reads
     only the candidate's ``(E, A)``.  The predictor and the corrector
     are looked up as module attributes on every call.
     """
     if cfg.predictor == "fem":
-        cand = predict_fem(provider.sample(state.p, cfg.h_p), state, dp)
+        cand = predict_fem(sample, state, dp)
     elif cfg.predictor == "rk4":
-        cand = predict_rk4(provider, state, dp, cfg.h_p)
+        cand = predict_rk4(provider, sample, state, dp, cfg.h_p)
     else:
         cand = TrackerState(state.phi.copy(), state.s, state.p + dp)
     if cfg.corrector is None:
@@ -453,12 +452,13 @@ def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
     """Run the full continuation sweep from cfg.p_init to cfg.p_fin.
 
     Per step: run the predictor from the accepted p (the only reader of
-    parameter derivatives) and optionally the Newton corrector on the
-    pencil at the new p, adapt the step from |Delta s|, and record the
-    accepted state.  A step whose corrector fails, or whose eigenvalue
-    displacement exceeds four times the high adaptation threshold, is
-    retried with a halved step down to dp_min; a displacement that survives
-    at dp_min is accepted as a flagged jump (corrector on).  The next step
+    parameter derivatives, sampled once for all retries of the step) and
+    optionally the Newton corrector on the pencil at the new p, adapt
+    the step from |Delta s|, and record the accepted state.  A step
+    whose corrector fails, or whose eigenvalue displacement exceeds four
+    times the high adaptation threshold, is retried with a halved step
+    down to dp_min; a displacement that survives at dp_min is accepted
+    as a flagged jump (corrector on).  The next step
     starts from ``adapt_step`` of the accepted step when adaptivity is on,
     and from ``|dp_init|`` again when it is off, so a halved step never
     pins the rest of a non-adaptive sweep at dp_min.  A step that still
@@ -495,9 +495,12 @@ def track(provider, init: TrackerState, cfg: TrackerConfig) -> Trajectory:
         while (cfg.p_fin - state.p) * sgn > ptol:
             remaining = cfg.p_fin - state.p
             dp_step = math.copysign(min(abs(dp), abs(remaining)), sgn)
+            sample = None
             while True:
                 try:
-                    new, iters = _attempt(provider, state, dp_step, cfg)
+                    if sample is None and cfg.predictor != "none":
+                        sample = provider.sample(state.p, cfg.h_p)
+                    new, iters = _attempt(provider, sample, state, dp_step, cfg)
                     failure = None
                     ds = abs(new.s - state.s)
                 except (SingularMatrix, NoConvergence) as exc:

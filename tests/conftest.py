@@ -60,6 +60,12 @@ def scalar_linear_provider():
     return ModelPencilProvider(model, form="reduced")
 
 
+def dense(M) -> np.ndarray:
+    """A provider's or a block's matrix as an ndarray, whichever layout
+    (dense below DENSE_LIMIT, CSC above) it comes in."""
+    return M.toarray() if sp.issparse(M) else np.asarray(M)
+
+
 def simple_blocks():
     """The 1-state / 1-algebraic block set with reduced matrix [-0.5]."""
     return ModelBlocks(

@@ -317,7 +317,7 @@ class TestCriterion8NewtonOnlyFailure:
         seed = max(range(len(pairs)), key=lambda i: (pairs[i].s.imag > 2,
                                                      -pairs[i].s.imag))
         grid = np.linspace(p0, p1, 121)
-        ref = reference_trajectory(prov, grid, seed)
+        ref = reference_trajectory(prov, grid, pairs[seed])
         s_true = ref.tracked_values()[-1]
         E, A = prov.matrices(p0)
         init = init_from_eigenpair(E, A, pairs[seed].s, pairs[seed].right,
@@ -369,11 +369,11 @@ class TestCriterion9SemiImplicitBookkeeping:
             prov = ModelPencilProvider(model, form="pencil")
             E, A = prov.matrices(p)
             n, m = model.n, model.m
-            rank_ok = structural_rank(E) == n
+            rank_ok = structural_rank(sp.csc_matrix(E)) == n
 
             reduced_vals = [s for s, _, _ in eig_dense(prov.reduced(p))]
             # independent generalized eigensolve of the sparse pencil
-            alpha, beta = scipy.linalg.eig(A.toarray(), E.toarray(),
+            alpha, beta = scipy.linalg.eig(conftest.dense(A), conftest.dense(E),
                                            right=False, homogeneous_eigvals=True)
             finite = np.abs(beta) > 1e-8 * np.max(np.abs(beta))
             pencil_vals = list(alpha[finite] / beta[finite])

@@ -216,6 +216,23 @@ class TestReference:
         assert rc == EXIT_OK
         assert "low-MAC" in capsys.readouterr().err
 
+    def test_one_dense_spectrum_per_grid_point(self, tmp_path, monkeypatch):
+        # the README companion example: the first grid point's spectrum
+        # selects the target and seeds the reference, computed once
+        from eigtrack import spectrum
+
+        calls = []
+        eig = spectrum.eig_dense
+        monkeypatch.setattr(spectrum, "eig_dense",
+                            lambda *a, **k: calls.append(1) or eig(*a, **k))
+        out = tmp_path / "ref.csv"
+        rc = main(["reference", "--model", "companion",
+                   "--from", "2", "--to", "0.5", "--dp", "0.01",
+                   "--target-index", "0", "--out", str(out)])
+        assert rc == EXIT_OK
+        assert len(Trajectory.from_csv(out)) == 151
+        assert len(calls) == 151
+
 
 class TestCompare:
     def run_track(self, tmp_path, name):

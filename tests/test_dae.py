@@ -27,7 +27,7 @@ from eigtrack.errors import (
 )
 from eigtrack.linalg import as_csc, eig_dense
 
-from conftest import simple_blocks
+from conftest import dense, simple_blocks
 
 
 def scalar_model(f, g=None, n=1, m=0, jac=None, guess=None):
@@ -102,7 +102,7 @@ class TestFdJacobians:
         model = scalar_model(f=lambda x, y, p: np.array([3.0 * x[0]]))
         eq = solve_equilibrium(model, 0.0)
         blocks = fd_jacobians(model, eq)
-        assert blocks.f_x.toarray() == pytest.approx(np.array([[3.0]]), abs=1e-6)
+        assert dense(blocks.f_x) == pytest.approx(np.array([[3.0]]), abs=1e-6)
 
     def test_f_independent_of_y_gives_zero_block(self):
         model = scalar_model(
@@ -111,7 +111,7 @@ class TestFdJacobians:
             m=1,
         )
         blocks = fd_jacobians(model, solve_equilibrium(model, 0.0))
-        assert blocks.f_y.nnz == 0
+        assert np.count_nonzero(dense(blocks.f_y)) == 0
 
     def test_algebraic_row_derivatives(self):
         model = scalar_model(
@@ -120,8 +120,8 @@ class TestFdJacobians:
             m=1,
         )
         blocks = fd_jacobians(model, solve_equilibrium(model, 0.0))
-        assert blocks.g_x.toarray() == pytest.approx(np.array([[-1.0]]), abs=1e-6)
-        assert blocks.g_y.toarray() == pytest.approx(np.array([[1.0]]), abs=1e-6)
+        assert dense(blocks.g_x) == pytest.approx(np.array([[-1.0]]), abs=1e-6)
+        assert dense(blocks.g_y) == pytest.approx(np.array([[1.0]]), abs=1e-6)
 
     def test_forward_difference_first_order(self):
         # Error against the analytic derivative roughly halves with h_x.
@@ -135,7 +135,7 @@ class TestFdJacobians:
         errs = []
         for h in (1e-4, 5e-5):
             blocks = fd_jacobians(model, eq, h_x=h)
-            errs.append(abs(blocks.f_x.toarray()[0, 0] - exact))
+            errs.append(abs(dense(blocks.f_x)[0, 0] - exact))
         assert 1.5 <= errs[0] / errs[1] <= 2.5
 
     def test_central_scheme_beats_forward_on_quadratic(self):
@@ -144,8 +144,8 @@ class TestFdJacobians:
         )
         from eigtrack.dae import Equilibrium
         eq = Equilibrium(np.array([1.0]), np.empty(0), 0.0)
-        fwd = fd_jacobians(model, eq, h_x=1e-5).f_x.toarray()[0, 0]
-        cen = fd_jacobians(model, eq, h_x=1e-5, scheme="central").f_x.toarray()[0, 0]
+        fwd = dense(fd_jacobians(model, eq, h_x=1e-5).f_x)[0, 0]
+        cen = dense(fd_jacobians(model, eq, h_x=1e-5, scheme="central").f_x)[0, 0]
         assert abs(cen - 2.0) < abs(fwd - 2.0)
 
     def test_bad_step_rejected(self):
@@ -177,10 +177,10 @@ class TestAssemblePencil:
         blocks = fd_jacobians(coupled_dae_model, eq)
         E, _ = assemble_pencil(blocks)
         n, m = blocks.n, blocks.m
-        assert E[:, n:].nnz == 0
+        assert np.count_nonzero(dense(E)[:, n:]) == 0
         # rank over the first n columns is full: E carries exactly n finite
         # eigenvalue directions
-        assert np.linalg.matrix_rank(E.toarray()) == n
+        assert np.linalg.matrix_rank(dense(E)) == n
 
     def test_dimension_mismatch(self):
         blocks = simple_blocks()
@@ -277,7 +277,7 @@ class TestSpectrumEquivalence:
         blocks = fd_jacobians(coupled_dae_model, eq)
         E, A = assemble_pencil(blocks)
         s = sympy.symbols("s")
-        P = sympy.Matrix(E.toarray()) * s - sympy.Matrix(A.toarray())
+        P = sympy.Matrix(dense(E)) * s - sympy.Matrix(dense(A))
         poly = sympy.Poly(sympy.expand(P.det(method="berkowitz")), s)
         # degree n: the pencil has m infinite eigenvalues
         assert poly.degree() == blocks.n
@@ -293,8 +293,8 @@ class TestSpectrumEquivalence:
 class TestModelPencilProvider:
     def test_reduced_form_has_identity_E(self, companion_provider):
         E, A = companion_provider.matrices(2.0)
-        assert np.allclose(E.toarray(), np.eye(2))
-        assert np.allclose(A.toarray(), [[0.0, 1.0], [-2.0, -2.0]])
+        assert np.allclose(dense(E), np.eye(2))
+        assert np.allclose(dense(A), [[0.0, 1.0], [-2.0, -2.0]])
 
     def test_pencil_form_dimensions(self, coupled_dae_model):
         prov = ModelPencilProvider(coupled_dae_model, form="pencil")
@@ -341,7 +341,8 @@ class TestProviderMemo:
         # only the derivative stencil's p + h_p is new
         assert dae_calls == {"solve_equilibrium": 2, builder: 2}
         E3, A3 = ModelPencilProvider(model, form=form).matrices(0.1)
-        assert (E3 != E).nnz == 0 and (A3 != A).nnz == 0
+        assert (np.count_nonzero(dense(E3) != dense(E)) == 0
+                and np.count_nonzero(dense(A3) != dense(A)) == 0)
 
     @pytest.mark.parametrize("form", ["pencil", "reduced"])
     def test_pencil_does_not_depend_on_visit_order(self, coupled_dae_model,
@@ -358,7 +359,7 @@ class TestProviderMemo:
         visited.sample(0.6)
         fresh = ModelPencilProvider(coupled_dae_model, form=form)
         for mine, ref in zip(at_03(visited), at_03(fresh)):
-            assert np.array_equal(mine.toarray(), ref.toarray())
+            assert np.array_equal(dense(mine), dense(ref))
 
     def test_droop_sweep_builds_each_p_once(self, dae_calls):
         from eigtrack.spectrum import full_spectrum
@@ -420,3 +421,94 @@ class TestLinearize:
         assert dae_calls["fd_jacobians"] == 1
         assert abs(E - E_fd).max() == 0.0
         assert abs(A - A_fd).max() <= 1e-5 * abs(A).max()
+
+
+class TestDenseCscSplit:
+    """Below DENSE_LIMIT the model layer carries ndarrays, above it CSC;
+    DENSE_LIMIT = 0 forces the CSC path on the same small models."""
+
+    @staticmethod
+    def outputs(prov, p, vecs):
+        smp = prov.sample(p)
+        return {"E": smp.E, "A": smp.A, "Edot": smp.Edot, "Adot": smp.Adot,
+                "reduced": prov.reduced(p), "lift": prov.lift(p, vecs)}
+
+    @pytest.mark.parametrize("case", ["droop-pencil", "droop-reduced",
+                                      "coupled-pencil", "coupled-reduced"])
+    def test_csc_path_matches_dense_path(self, case, coupled_dae_model,
+                                         monkeypatch):
+        name, form = case.split("-")
+        if name == "droop":
+            model, p = droop_model(), 0.1
+        else:
+            # The generic Newton factors its Jacobian with LAPACK on one
+            # path and SuperLU on the other, so the equilibrium at p + h_p
+            # differs in the last bits, and the forward difference of the
+            # finite-difference A magnifies that to ~1e-4 in Adot.  Each
+            # equilibrium is solved once (on the dense path, asserted
+            # below to agree with the CSC solve) and serves both paths.
+            solved = {}
+
+            def pinned(model, p):
+                if p not in solved:
+                    solved[p] = solve_equilibrium(coupled_dae_model, p)
+                return solved[p]
+
+            model, p = replace(coupled_dae_model,
+                               equilibrium_solver=pinned), 0.3
+        vecs = np.column_stack(
+            [v for _, v, _ in eig_dense(ModelPencilProvider(model).reduced(p))])
+        got = self.outputs(ModelPencilProvider(model, form=form), p, vecs)
+        monkeypatch.setattr(dae, "DENSE_LIMIT", 0)
+        ref = self.outputs(ModelPencilProvider(model, form=form), p, vecs)
+        if name == "coupled":
+            for q, eq in solved.items():
+                csc = solve_equilibrium(coupled_dae_model, q)
+                for mine, want in ((eq.x0, csc.x0), (eq.y0, csc.y0)):
+                    assert np.max(np.abs(mine - want)) <= 1e-14
+        for key in ("E", "A", "Edot", "Adot"):
+            assert isinstance(got[key], np.ndarray), key
+            assert sp.issparse(ref[key]), key
+        # the forward differences over h_p = 1e-6 carry the rounding of
+        # the matrices they difference, divided by h_p
+        h_p = 1e-6
+        scale = {"Edot": np.max(np.abs(dense(ref["E"]))) / h_p,
+                 "Adot": np.max(np.abs(dense(ref["A"]))) / h_p}
+        for key, mine in got.items():
+            want = dense(ref[key])
+            assert mine.shape == want.shape, key
+            assert (np.max(np.abs(mine - want), initial=0.0)
+                    <= 1e-14 * scale.get(key, np.max(np.abs(want)))), key
+
+    def test_droop_sweep_matches_csc_path(self, monkeypatch):
+        from eigtrack.spectrum import full_spectrum
+        from eigtrack.tracker import (NewtonConfig, TrackerConfig,
+                                      init_from_eigenpair, track)
+
+        def sweep():
+            prov = ModelPencilProvider(droop_model(), form="pencil")
+            pairs = full_spectrum(prov, 0.2, pencil_coords=True)
+            tgt = max((pr for pr in pairs if 0.05 < pr.s.imag < 2.0),
+                      key=lambda pr: pr.s.imag)
+            E, A = prov.matrices(0.2)
+            init = init_from_eigenpair(E, A, tgt.s, tgt.right, p=0.2)
+            cfg = TrackerConfig(p_init=0.2, p_fin=0.02, dp_init=-0.0018,
+                                predictor="fem",
+                                corrector=NewtonConfig(tol=1e-10, max_iter=12),
+                                epsilon_imag=0.0)
+            return track(prov, init, cfg)
+
+        mine = sweep()
+        monkeypatch.setattr(dae, "DENSE_LIMIT", 0)
+        ref = sweep()
+        assert len(mine) == len(ref) == 101
+        for a, b in zip(mine, ref):
+            assert a.p == b.p and a.corrector_iters == b.corrector_iters
+            assert abs(a.s - b.s) <= 1e-12 * abs(b.s)
+
+    def test_memo_blocks_are_views_of_the_pencil(self):
+        prov = ModelPencilProvider(droop_model(), form="pencil")
+        blocks, (E, A) = prov.blocks(0.1), prov.matrices(0.1)
+        for M, parts in ((E, ("T", "R")), (A, ("f_x", "f_y", "g_x", "g_y"))):
+            for part in parts:
+                assert np.shares_memory(getattr(blocks, part), M), part

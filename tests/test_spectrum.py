@@ -227,7 +227,8 @@ class TestParticipationFactors:
 class TestReferenceTrajectory:
     def test_scalar_linear_grid(self):
         prov = MatrixProvider(lambda p: np.array([[-p]]), 1)
-        ref = reference_trajectory(prov, [0.0, 0.5, 1.0], 0)
+        ref = reference_trajectory(prov, [0.0, 0.5, 1.0],
+                                   full_spectrum(prov, 0.0)[0])
         assert np.allclose(ref.tracked_values(), [0.0, -0.5, -1.0])
 
     def test_companion_fold_flags_low_mac(self, companion_provider):
@@ -236,7 +237,7 @@ class TestReferenceTrajectory:
         grid = np.arange(2.0, 0.5, -0.08)
         pairs = full_spectrum(companion_provider, 2.0)
         seed = max(range(2), key=lambda i: pairs[i].s.imag)
-        ref = reference_trajectory(companion_provider, grid, seed,
+        ref = reference_trajectory(companion_provider, grid, pairs[seed],
                                    low_mac=0.99)
         # the eigenvector is discontinuous at the fold (p = 1)
         assert ref.low_mac_steps
@@ -245,7 +246,8 @@ class TestReferenceTrajectory:
 
     def test_constant_provider_constant_trajectory(self):
         prov = MatrixProvider(lambda p: spring_chain(), 4)
-        ref = reference_trajectory(prov, [0.0, 1.0, 2.0], 1)
+        ref = reference_trajectory(prov, [0.0, 1.0, 2.0],
+                                   full_spectrum(prov, 0.0)[1])
         vals = ref.tracked_values()
         assert np.allclose(vals, vals[0])
         assert not ref.low_mac_steps

@@ -39,6 +39,8 @@ from eigtrack.tracker import (
     track,
 )
 
+from conftest import dense as as_dense
+
 
 def scalar_pencil(a):
     return as_csc(np.eye(1)), as_csc(np.array([[a]]))
@@ -48,11 +50,6 @@ def scalar_sample(a, adot=0.0):
     E, A = scalar_pencil(a)
     return PencilSample(E=E, A=A, Edot=as_csc(np.zeros((1, 1))),
                         Adot=as_csc(np.array([[adot]])))
-
-
-def as_dense(M):
-    """assemble_system's M as an ndarray, whichever path built it."""
-    return M.toarray() if sp.issparse(M) else np.asarray(M)
 
 
 def velocity(sample, state):
@@ -189,7 +186,7 @@ class TestAssembleSystem:
         provider = ModelPencilProvider(coupled_dae_model, form="pencil")
         p, h = 0.3, 1e-3
         sample = provider.sample(p, h_p=1e-4)
-        assert np.linalg.matrix_rank(sample.E.toarray()) < provider.r
+        assert np.linalg.matrix_rank(as_dense(sample.E)) < provider.r
 
         def oracle(q, s0):
             return min((e.s for e in full_spectrum(provider, q)),
@@ -232,14 +229,16 @@ class TestPredictors:
 
     def test_rk4_linear_eigenvalue_exact(self, scalar_linear_provider):
         state = TrackerState(phi=np.array([1.0 + 0j]), s=0.0, p=0.0)
-        out = predict_rk4(scalar_linear_provider, state, 0.1)
+        out = predict_rk4(scalar_linear_provider,
+                          scalar_linear_provider.sample(0.0), state, 0.1)
         assert out.s.real == pytest.approx(-0.1, abs=1e-6)
 
     def test_rk4_endpoint_accuracy(self, companion_provider):
         state = companion_state(companion_provider, 2.0)
         p = 2.0
         while p < 3.0 - 1e-12:
-            state = predict_rk4(companion_provider, state, 0.05)
+            state = predict_rk4(companion_provider,
+                                companion_provider.sample(state.p), state, 0.05)
             p = state.p
         oracle = companion_eigenvalues(2.0, 3.0)
         assert min(abs(state.s - r) for r in oracle) <= 1e-6
@@ -254,8 +253,29 @@ class TestPredictors:
         sampled = []
         sample = provider.sample
         provider.sample = lambda p, h_p=None: sampled.append(p) or sample(p, h_p)
-        predict_rk4(provider, state, 0.1)
+        predict_rk4(provider, provider.sample(0.3), state, 0.1)
         assert sampled == pytest.approx([0.3, 0.35, 0.4])
+
+
+    @pytest.mark.parametrize("predictor", ["fem", "rk4"])
+    def test_halved_retries_sample_the_accepted_point_once(
+            self, companion_provider, predictor):
+        # s moves by more than 4 * adapt.hi over dp = -0.9 from p = 2 and
+        # over the remaining -0.45 from p = 1.55, so both steps are
+        # retried at half length; the affine companion provider samples
+        # only at a step's start p
+        state = companion_state(companion_provider, 2.0)
+        sampled = []
+        sample = companion_provider.sample
+        companion_provider.sample = (
+            lambda p, h_p=None: sampled.append(p) or sample(p, h_p))
+        cfg = TrackerConfig(p_init=2.0, p_fin=1.1, dp_init=-0.9,
+                            predictor=predictor, corrector=NewtonConfig(),
+                            epsilon_imag=0.0)
+        traj = track(companion_provider, state, cfg)
+        assert ([pt.dp_used for pt in traj]
+                == pytest.approx([0.0, -0.45, -0.225, -0.225]))
+        assert sampled == pytest.approx([2.0, 1.55, 1.325])
 
 
 class TestCorrectNewton:
