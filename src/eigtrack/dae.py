@@ -171,29 +171,26 @@ def solve_equilibrium(model: DaeModel, p: float) -> Equilibrium:
     raise NoConvergence(f"no equilibrium within {EQ_MAX_ITER} iterations")
 
 
-def _blocks(model: DaeModel, p: float, jac, dense: Optional[bool]) -> ModelBlocks:
+def _blocks(model: DaeModel, p: float, jac) -> ModelBlocks:
     """ModelBlocks of ``jac = (f_x, f_y, g_x, g_y)``, ``T(p)`` and ``R(p)``,
     laid out as :func:`fd_jacobians` says."""
-    if dense is None:
-        dense = model.n + model.m < DENSE_LIMIT
+    dense = model.n + model.m < DENSE_LIMIT
     R = model.R(p) if model.m else np.zeros((0, model.n))
     return ModelBlocks(*(as_dense(B) if dense else as_csc(B)
                          for B in (model.T(p), R, *jac)))
 
 
-def linearize(model: DaeModel, eq: Equilibrium,
-              dense: Optional[bool] = None) -> ModelBlocks:
+def linearize(model: DaeModel, eq: Equilibrium) -> ModelBlocks:
     """Jacobian blocks at ``eq``: the model's analytic ``jacobians`` when
     it defines them, finite differences (:func:`fd_jacobians`) otherwise;
-    ``dense`` as in :func:`fd_jacobians`."""
+    laid out as :func:`fd_jacobians` says."""
     if model.jacobians is None:
-        return fd_jacobians(model, eq, dense=dense)
-    return _blocks(model, eq.p, model.jacobians(eq.x0, eq.y0, eq.p), dense)
+        return fd_jacobians(model, eq)
+    return _blocks(model, eq.p, model.jacobians(eq.x0, eq.y0, eq.p))
 
 
 def fd_jacobians(model: DaeModel, eq: Equilibrium, h_x: float = 1e-7,
-                 scheme: str = "forward",
-                 dense: Optional[bool] = None) -> ModelBlocks:
+                 scheme: str = "forward") -> ModelBlocks:
     """Finite-difference Jacobian blocks at an equilibrium.
 
     Always differences ``f`` and ``g``, whether or not the model has
@@ -202,8 +199,7 @@ def fd_jacobians(model: DaeModel, eq: Equilibrium, h_x: float = 1e-7,
     stepped by ``h_x (1 + |v_j|)``; forward differences by default
     (``scheme="central"`` for sensitivity studies and oracles).
     Entries with magnitude below ``FD_DROP`` are zeroed.  The blocks are
-    arrays when ``dense`` (by default when n + m < ``DENSE_LIMIT``), CSC
-    otherwise.
+    arrays when n + m < ``DENSE_LIMIT``, CSC otherwise.
     """
     if h_x <= 0:
         raise ValueError("h_x must be positive")
@@ -237,7 +233,7 @@ def fd_jacobians(model: DaeModel, eq: Equilibrium, h_x: float = 1e-7,
         g_y = np.empty((0, 0))
 
     jac = (np.where(np.abs(M) < FD_DROP, 0.0, M) for M in (f_x, f_y, g_x, g_y))
-    return _blocks(model, p, jac, dense)
+    return _blocks(model, p, jac)
 
 
 def assemble_pencil(blocks: ModelBlocks):
@@ -372,15 +368,14 @@ class ModelPencilProvider:
         """Memo entry ``(blocks, (E, A))`` at p, built on first use."""
         got = self._cache.get(p)
         if got is None:
-            dense = self.r < DENSE_LIMIT
-            blocks = linearize(self.model, solve_equilibrium(self.model, p), dense)
+            blocks = linearize(self.model, solve_equilibrium(self.model, p))
             if self.form == "reduced":
                 A = reduce_state_matrix(blocks)
-                pencil = ((np.eye(self.n), A) if dense else
+                pencil = ((np.eye(self.n), A) if self.r < DENSE_LIMIT else
                           (as_csc(sp.identity(self.n)), as_csc(A)))
             else:
                 pencil = (E, A) = assemble_pencil(blocks)
-                if dense:  # the memo keeps E and A once
+                if isinstance(E, np.ndarray):  # the memo keeps E and A once
                     n = self.n
                     blocks = ModelBlocks(E[:n, :n], E[n:, :n], A[:n, :n],
                                          A[:n, n:], A[n:, :n], A[n:, n:])

@@ -52,13 +52,15 @@ def as_dense(M) -> np.ndarray:
 
 
 class _DenseLU:
-    """LAPACK ``getrf`` factors of a dense matrix, solved by ``getrs``,
-    with the ``solve`` and ``nnz`` of SuperLU's factor object."""
+    """LAPACK ``getrf`` factors of a dense matrix, with the ``solve`` and
+    ``nnz`` of SuperLU's factor object.  A vector is solved by ``getrs``
+    on the factors; a matrix of right-hand sides by ``gesv`` on a private
+    copy of M, so both see the matrix as it was at construction."""
 
     def __init__(self, M: np.ndarray):
         getrf, self._getrs, self._gesv = get_lapack_funcs(
             ("getrf", "getrs", "gesv"), (M,))
-        self._M = M
+        self._M = M.copy()
         # getrf's info > 0 (an exactly zero pivot) shows in diag(U)
         self.lu, self._piv = getrf(M)[:2]
         self.nnz = M.size  # L and U share one stored n-by-n array
@@ -68,7 +70,7 @@ class _DenseLU:
             # as SuperLU does; getrs would drop the imaginary part
             raise TypeError("complex right-hand side for a real factorization")
         if b.ndim == 2:  # OpenBLAS's getrs wakes its threads even at n = 2,
-            # a 1-20 ms stall; gesv factors M again on this thread as fast
+            # a 1-20 ms stall; gesv factors the copy again on this thread
             return self._gesv(self._M, b)[2]
         return self._getrs(self.lu, self._piv, b)[0]
 
@@ -76,7 +78,9 @@ class _DenseLU:
 class LUFactorization:
     """Immutable LU factorization supporting repeated solves.
 
-    A numpy array is factored with dense LAPACK (``getrf``/``getrs``);
+    A numpy array is factored with dense LAPACK ``getrf`` and solved with
+    ``getrs``, or, for several right-hand-side columns, with ``gesv`` on
+    a copy of the matrix taken at construction (see :class:`_DenseLU`);
     any other input is converted to CSC and factored with SuperLU.  A
     factorization whose U diagonal contains a pivot with magnitude at or
     below ``PIVOT_FLOOR`` is rejected at construction time.

@@ -434,12 +434,15 @@ class TestDenseCscSplit:
                 "reduced": prov.reduced(p), "lift": prov.lift(p, vecs)}
 
     @pytest.mark.parametrize("case", ["droop-pencil", "droop-reduced",
-                                      "coupled-pencil", "coupled-reduced"])
+                                      "coupled-pencil", "coupled-reduced",
+                                      "companion-pencil", "companion-reduced"])
     def test_csc_path_matches_dense_path(self, case, coupled_dae_model,
-                                         monkeypatch):
+                                         companion_model, monkeypatch):
         name, form = case.split("-")
         if name == "droop":
             model, p = droop_model(), 0.1
+        elif name == "companion":  # m = 0: empty R, f_y, g_x and g_y blocks
+            model, p = companion_model, 1.5
         else:
             # The generic Newton factors its Jacobian with LAPACK on one
             # path and SuperLU on the other, so the equilibrium at p + h_p

@@ -85,6 +85,16 @@ class TestDenseLu:
             with pytest.raises(TypeError):
                 lu_factor(M).solve(np.array([1.0, 1j]))
 
+    def test_later_change_to_the_matrix_leaves_the_factors(self):
+        M = np.array([[4.0, 1.0], [1.0, 3.0]])
+        F = lu_factor(M)
+        M[:] = np.eye(2)
+        b = np.array([1.0, 2.0])
+        want = np.linalg.solve(np.array([[4.0, 1.0], [1.0, 3.0]]), b)
+        assert np.allclose(F.solve(b), want)
+        assert np.allclose(F.solve(np.column_stack([b, b])),
+                           np.column_stack([want, want]))
+
 
 class TestLuSolve:
     def test_identity(self):
