@@ -55,6 +55,14 @@ MEMO_SIZE = 64  # per-p entries a memo holds; the oldest goes first
 Matrix = Union[np.ndarray, sp.csc_matrix]  # dense below DENSE_LIMIT
 
 
+def memo_put(memo: dict, key, value):
+    """``memo[key] = value``, dropping the oldest entry of a full memo."""
+    if len(memo) >= MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
 @dataclass
 class ParamDescriptor:
     name: str
@@ -68,10 +76,11 @@ class DaeModel:
 
     ``f`` and ``g`` must be pure functions of ``(x, y, p)``.  ``T`` and
     ``R`` map a parameter value to matrices (dense or sparse) of shape
-    (n, n) and (m, n).  ``jacobians``, when given, returns analytic
-    ``(f_x, f_y, g_x, g_y)`` at ``(x, y, p)`` (dense or sparse) and
-    drives every linearization (:func:`linearize`); models without it
-    fall back to finite differences (:func:`fd_jacobians`).
+    (n, n) and (m, n); :func:`linearize` converts them as it does the
+    Jacobian blocks, so arrays cost nothing below ``DENSE_LIMIT``.
+    ``jacobians``, when given, returns analytic ``(f_x, f_y, g_x, g_y)``
+    at ``(x, y, p)`` (dense or sparse) and drives every linearization
+    (:func:`linearize`); models without it fall back to finite differences.
     ``equilibrium_solver(model, p)`` overrides the generic Newton solve
     for models whose steady state needs special treatment (e.g. an
     embedded power-flow problem); the generic solve starts every p from
@@ -346,12 +355,13 @@ class ModelPencilProvider:
     ``form="reduced"`` eliminates the algebraic variables so the tracker
     runs on the n-by-n state matrix with E = I instead of the (n+m)
     pencil; both are dense arrays below ``DENSE_LIMIT`` and CSC above.
-    One memo entry per p holds the blocks (views of a dense E and A)
-    and the ``(E, A)`` built from them, so every later
-    ``matrices``/``sample`` call at that p (the next step's predictor,
-    the trajectory record, the derivative stencil) reuses them; callers
-    must not modify the returned matrices.  The memo is a pure cache:
-    every entry depends on p alone, never on which p were visited before.
+    One memo entry per p holds the pencil ``(E, A)`` and, in pencil form,
+    the blocks (views of a dense E and A) that ``reduced`` and ``lift``
+    read, so every later ``matrices``/``sample`` call at that p (the
+    next step's predictor, the trajectory record, the derivative
+    stencil) reuses them; callers must not modify the returned matrices.
+    The memo is a pure cache: every entry depends on p alone, never on
+    which p were visited before.
     """
 
     def __init__(self, model: DaeModel, form: str = "pencil"):
@@ -365,12 +375,12 @@ class ModelPencilProvider:
         self._cache: dict[float, tuple] = {}
 
     def _entry(self, p: float):
-        """Memo entry ``(blocks, (E, A))`` at p, built on first use."""
+        """Memo entry ``(blocks or None in reduced form, (E, A))`` at p."""
         got = self._cache.get(p)
         if got is None:
             blocks = linearize(self.model, solve_equilibrium(self.model, p))
             if self.form == "reduced":
-                A = reduce_state_matrix(blocks)
+                A, blocks = reduce_state_matrix(blocks), None  # unread here
                 pencil = ((np.eye(self.n), A) if self.r < DENSE_LIMIT else
                           (as_csc(sp.identity(self.n)), as_csc(A)))
             else:
@@ -379,12 +389,10 @@ class ModelPencilProvider:
                     n = self.n
                     blocks = ModelBlocks(E[:n, :n], E[n:, :n], A[:n, :n],
                                          A[:n, n:], A[n:, :n], A[n:, n:])
-            if len(self._cache) >= MEMO_SIZE:
-                del self._cache[next(iter(self._cache))]  # oldest entry
-            got = self._cache[p] = (blocks, pencil)
+            got = memo_put(self._cache, p, (blocks, pencil))
         return got
 
-    def blocks(self, p: float) -> ModelBlocks:
+    def blocks(self, p: float) -> Optional[ModelBlocks]:
         return self._entry(p)[0]
 
     def matrices(self, p: float):

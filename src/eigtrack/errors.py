@@ -54,6 +54,14 @@ class OffGrid(EigtrackError, ValueError):
     list."""
 
 
+class NonFiniteMatrix(EigtrackError, ValueError):
+    """A matrix for the dense eigensolver has NaN or infinite entries."""
+
+
+class InaccurateEigenpair(EigtrackError, ValueError):
+    """An eigenpair's pencil residual is too large to start tracking."""
+
+
 class AmbiguousTarget(EigtrackError):
     """Two spectrum entries score identically for a target selector."""
 

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
-from .errors import DimensionMismatch, NoConvergence, SingularMatrix
+from .errors import DimensionMismatch, NoConvergence, NonFiniteMatrix, SingularMatrix
 
 PIVOT_FLOOR = 1e-14
 # Pencils of order below this are dense arrays, larger ones CSC: below it
@@ -140,7 +140,7 @@ def eig_dense(A, want_left: bool = False):
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"matrix is {A.shape}, expected square")
     if not np.all(np.isfinite(A)):
-        raise ValueError("matrix has non-finite entries")
+        raise NonFiniteMatrix("matrix has non-finite entries")
     try:
         w, V = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:

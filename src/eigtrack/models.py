@@ -15,6 +15,7 @@ spectrum discontinuity when a governor output limit activates.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .dae import MEMO_SIZE, DaeModel, Equilibrium, ParamDescriptor, PencilSample
+from .dae import DaeModel, Equilibrium, ParamDescriptor, PencilSample, memo_put
 from .errors import (
     DimensionMismatch,
     DisconnectedNetwork,
@@ -319,7 +320,8 @@ class _PowerFlow:
     Machine bus 0 starts as slack; if its computed dispatch exceeds the
     machine's active power limit, the flow is re-solved with that
     machine pinned at the limit, bus 1 taking over as slack, and the
-    governor of the limited machine marked saturated.
+    governor of the limited machine marked saturated.  Of the fields
+    ``_SWEEPABLE`` moves, the solve reads only z, mu and p_max[0].
     """
 
     def __init__(self, spec: MultiMachineSpec, lines):
@@ -376,7 +378,9 @@ class _MultiMachine:
     Per-machine quantities are numpy slices of the state (``x[0::pm]``
     angles, ``x[1::pm]`` speeds, ``x[2::pm]`` governor outputs) and the
     network sums use the line arrays built once here.  The swept spec
-    comes from the cached power flow at p.
+    comes from the cached power flow at p, whose solution is shared by
+    every p with the same ``(z, mu, p_max[0])``: a droop, inertia or
+    governor time-constant sweep solves the flow once per instance.
     """
 
     def __init__(self, spec: MultiMachineSpec, param: str):
@@ -391,14 +395,18 @@ class _MultiMachine:
         self.n = self.per_mach * spec.n_mach
         self.m = 2 * spec.n_bus + spec.n_mach
         self._pf_cache: dict[float, _PowerFlow] = {}
+        self._flows: dict[tuple, _PowerFlow] = {}
 
     def pf(self, p: float) -> _PowerFlow:
         got = self._pf_cache.get(p)
         if got is None:
-            got = _PowerFlow(_apply_param(self.spec, self.param, p), self.lines)
-            if len(self._pf_cache) >= MEMO_SIZE:
-                del self._pf_cache[next(iter(self._pf_cache))]  # oldest entry
-            self._pf_cache[p] = got
+            spec = _apply_param(self.spec, self.param, p)
+            key = (spec.z, spec.mu, spec.p_max[0])
+            if key not in self._flows:
+                memo_put(self._flows, key, _PowerFlow(spec, self.lines))
+            got = copy.copy(self._flows[key])  # the solve reads only key
+            got.spec, got.droop = spec, np.asarray(spec.droop, dtype=float)
+            memo_put(self._pf_cache, p, got)
         return got
 
     # state layout per machine: delta, omega[, gov]; algebraic layout:
@@ -516,12 +524,12 @@ def make_multimachine(spec: Optional[MultiMachineSpec] = None,
         cols = [np.ones(spec.n_mach), swept.inertia]
         if spec.governors:
             cols.append(swept.gov_T)
-        return sp.diags(np.column_stack(cols).ravel(), format="csc")
+        return np.diag(np.column_stack(cols).ravel())
 
     model = DaeModel(
         n=core.n, m=core.m, f=core.f, g=core.g,
         T=T,
-        R=lambda p: sp.csc_matrix((core.m, core.n)),
+        R=lambda p: np.zeros((core.m, core.n)),
         param=ParamDescriptor(param, p_init, p_fin),
         jacobians=core.jacobians,
         equilibrium_solver=core.equilibrium,

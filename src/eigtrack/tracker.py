@@ -27,6 +27,7 @@ import scipy.sparse as sp
 from .errors import (
     DegenerateVector,
     EigtrackError,
+    InaccurateEigenpair,
     NoCandidate,
     NoConvergence,
     SingularMatrix,
@@ -234,7 +235,7 @@ def init_from_eigenpair(E, A, s: complex, phi: np.ndarray,
     phi = np.asarray(phi, dtype=complex)
     res = residual(E, A, s, phi)
     if res > INIT_RES_TOL:
-        raise ValueError(
+        raise InaccurateEigenpair(
             f"input eigenpair residual {res:.2e} exceeds {INIT_RES_TOL:.1e}")
     q = phi @ phi
     if abs(q) <= 1e-12 * np.linalg.norm(phi) ** 2:

@@ -1,6 +1,7 @@
 """Equilibria, linearization, pencil assembly/reduction."""
 
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import replace
 
 import numpy as np
@@ -409,6 +410,31 @@ class TestProviderMemo:
         assert not flows
         prov.matrices(grid[0])
         assert dae_calls["solve_equilibrium"] == 65
+
+
+    def test_reduced_memo_holds_only_the_pencil(self):
+        # reduced form reads neither the (n+m) blocks nor anything but
+        # (I, A_red), so a full memo holds exactly MEMO_SIZE such pairs
+        from eigtrack.models import MultiMachineSpec, make_multimachine
+
+        model = make_multimachine(MultiMachineSpec(), param="p_max_0",
+                                  p_init=1.0, p_fin=0.6)
+        prov = ModelPencilProvider(model, form="reduced")
+        for k in range(dae.MEMO_SIZE + 3):
+            prov.matrices(1.0 - 0.005 * k)
+
+        def nbytes(obj):
+            if isinstance(obj, np.ndarray):
+                return obj.nbytes
+            if sp.issparse(obj):
+                return sum(a.nbytes for a in (obj.data, obj.indices, obj.indptr))
+            if isinstance(obj, ModelBlocks):
+                obj = vars(obj).values()
+            return sum(map(nbytes, obj)) if isinstance(obj, Iterable) else 0
+
+        assert len(prov._cache) == dae.MEMO_SIZE
+        assert nbytes(prov._cache.values()) == dae.MEMO_SIZE * 2 * model.n ** 2 * 8
+        assert prov.blocks(0.9) is None
 
 
 class TestLinearize:

@@ -30,7 +30,7 @@ from eigtrack.models import (
 )
 
 from conftest import dense
-from eigtrack.models import _FlowEquations
+from eigtrack.models import _SWEEPABLE, _FlowEquations, _PowerFlow, _apply_param
 from eigtrack.spectrum import EigenPair, participation_factors
 
 
@@ -257,8 +257,8 @@ class TestMultiMachine:
         spec = MultiMachineSpec(n_mach=2, inertia=[2.0, 4.0],
                                 gov_T=[5.0, 7.0], governors=governors)
         T = make_multimachine(spec, param=param).T(1.5)
-        assert T.format == "csc"
-        assert np.array_equal(T.toarray(), np.diag(expect))
+        assert isinstance(T, np.ndarray)
+        assert np.array_equal(T, np.diag(expect))
 
     def test_disconnected_network_rejected(self):
         with pytest.raises(DisconnectedNetwork):
@@ -383,6 +383,52 @@ class TestNetworkEquations:
         core = make_multimachine(MultiMachineSpec(), param="p_max_0").core
         assert core.pf(0.8).saturated == set()
         assert core.pf(0.7999999999999999).saturated == {0}
+
+
+class TestSharedPowerFlow:
+    """The model solves the power flow once per distinct set of the
+    inputs the flow reads, and ``pf(p)`` still carries the spec at p."""
+
+    SWEEPS = {"droop": (0.05, 0.03), "droop_scale": (1.0, 0.5),
+              "inertia_scale": (1.0, 0.6), "gov_T": (5.0, 2.0),
+              "z": (0.0, 0.4), "mu": (0.0, 0.2), "p_max_0": (0.9, 0.7)}
+
+    @pytest.mark.parametrize("param", sorted(SWEEPS))
+    def test_flow_equals_a_fresh_solve(self, param):
+        assert sorted(self.SWEEPS) == sorted(_SWEEPABLE)
+        spec = MultiMachineSpec()
+        core = make_multimachine(spec, param=param).core
+        for p in self.SWEEPS[param]:
+            pf = core.pf(p)
+            fresh = _PowerFlow(_apply_param(spec, param, p), core.lines)
+            assert pf.spec == fresh.spec
+            assert pf.saturated == fresh.saturated
+            for name in ("theta", "vmag", "pgen", "emf", "delta0", "droop",
+                         "gov_free"):
+                assert getattr(pf, name).tobytes() == getattr(fresh, name).tobytes()
+
+    @pytest.mark.parametrize("param, grid", [
+        ("droop", [0.2 - 0.0018 * k for k in range(101)]),
+        ("mu", [0.03 * k for k in range(11)]),
+    ])
+    def test_power_flow_solves_per_sweep(self, monkeypatch, param, grid):
+        # a droop sweep solves the flow once; a mu sweep once per p the
+        # model is evaluated at (each grid point and its p + h_p)
+        from eigtrack import models
+
+        solves, visited = [], set()
+        flow = models._PowerFlow
+        monkeypatch.setattr(models, "_PowerFlow",
+                            lambda *a: solves.append(a) or flow(*a))
+        model = make_multimachine(MultiMachineSpec(), param=param)
+        equilibrium = model.equilibrium_solver
+        model.equilibrium_solver = (
+            lambda model, p: visited.add(p) or equilibrium(model, p))
+        prov = ModelPencilProvider(model, form="pencil")
+        for p in grid:
+            prov.sample(p)
+        assert len(visited) == 2 * len(grid)
+        assert len(solves) == (1 if param == "droop" else len(visited))
 
 
 class TestModelSpecFile:

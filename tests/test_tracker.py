@@ -13,8 +13,10 @@ from eigtrack.dae import ModelPencilProvider, PencilSample
 from eigtrack.errors import (
     DegenerateVector,
     EigtrackError,
+    InaccurateEigenpair,
     NoCandidate,
     NoConvergence,
+    NonFiniteMatrix,
     TrackingAborted,
 )
 from eigtrack.linalg import as_csc, eig_dense
@@ -655,6 +657,40 @@ class ImagAxisCrossing:
         return np.asarray(v)
 
 
+class BreaksPastHalf:
+    """E = I, A(p) = diag(-1 - p, -3), broken from p = 0.5 on.  With
+    ``how="nan"`` every matrix there is non-finite, so each step into it
+    fails at dp_min and so does the full spectrum that re-initializes
+    it.  With ``how="reduced"`` the pencil stays intact but ``sample``
+    fails and ``reduced`` returns A + I, so the re-initialized eigenpair
+    fails the pencil's residual check."""
+
+    n = r = 2
+    affine_in_p = True
+
+    def __init__(self, how):
+        self.how = how
+
+    def matrices(self, p):
+        A = np.diag([-1.0 - p, -3.0])
+        if p >= 0.5 and self.how == "nan":
+            A = np.full((2, 2), np.nan)
+        return np.eye(2), A
+
+    def sample(self, p, h_p=None):
+        if p >= 0.5 and self.how == "reduced":
+            raise NoConvergence("derivatives unavailable from 0.5 on")
+        E, A = self.matrices(p)
+        return PencilSample(E, A, np.zeros((2, 2)), np.diag([-1.0, 0.0]))
+
+    def reduced(self, p):
+        A = self.matrices(p)[1]
+        return A + np.eye(2) if p >= 0.5 and self.how == "reduced" else A
+
+    def lift(self, p, v):
+        return np.asarray(v)
+
+
 class TestReinitPolicy:
     def failing_cfg(self, policy):
         return TrackerConfig(p_init=0.0, p_fin=1.0, dp_init=0.1,
@@ -698,6 +734,20 @@ class TestReinitPolicy:
         assert not traj.has_flag("reinitialized")
         for rec in traj:
             assert rec.s == pytest.approx(-1.0 + 1j * (0.5 - rec.p), abs=1e-9)
+
+    @pytest.mark.parametrize("how, cause", [("nan", NonFiniteMatrix),
+                                            ("reduced", InaccurateEigenpair)])
+    def test_failed_reinitialization_aborts_typed(self, how, cause):
+        # both causes stay ValueErrors for callers that catch those
+        assert issubclass(cause, ValueError)
+        state = TrackerState(phi=np.array([1.0 + 0j, 0.0]), s=-1.0, p=0.0)
+        with pytest.raises(TrackingAborted) as exc_info:
+            track(BreaksPastHalf(how), state, self.failing_cfg("on_failure"))
+        assert isinstance(exc_info.value.__cause__, cause)
+        traj = exc_info.value.trajectory
+        assert traj[0].p == 0.0 and len(traj) >= 5
+        assert traj[-1].p == pytest.approx(0.5, abs=1e-3)
+        assert not traj.has_flag("reinitialized")
 
     def test_on_fold_rejected(self):
         # a restart after each fold-flagged step cannot cross a defective
