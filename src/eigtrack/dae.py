@@ -10,8 +10,11 @@ derivative coupling ``R(p) x'`` on the left:
 This module solves for equilibria, linearizes with the model's analytic
 Jacobians (finite differences when it has none), assembles the pencil
 matrices (E, A) (dense arrays below ``linalg.DENSE_LIMIT``, CSC above),
-eliminates the algebraic variables to obtain the dense state matrix,
-and differentiates pencils with respect to the continuation parameter.
+eliminates the algebraic variables to obtain the dense state matrix
+(one Schur elimination, :func:`_schur_pieces`, shared with eigenvector
+lifting), and differentiates pencils with respect to the continuation
+parameter.  :class:`ModelPencilProvider` memoises one pencil per p and
+slices the linearization blocks from it.
 """
 
 from __future__ import annotations
@@ -269,8 +272,9 @@ def assemble_pencil(blocks: ModelBlocks):
 def _schur_pieces(blocks: ModelBlocks):
     """Shared computation for reduction and eigenvector lifting.
 
-    Returns (lu_T, Tinv_fx, W) where W solves
-    (g_y - R T^-1 f_y) W = (g_x - R T^-1 f_x).
+    Returns (T^-1 f_x, T^-1 f_y, W) where W solves
+    (g_y - R T^-1 f_y) W = (g_x - R T^-1 f_x); the last two are None
+    when m = 0.
     """
     try:
         lu_T = lu_factor(blocks.T)
@@ -278,7 +282,7 @@ def _schur_pieces(blocks: ModelBlocks):
         raise SingularMatrix(f"T singular in reduction: {exc}")
     Tinv_fx = lu_T.solve(as_dense(blocks.f_x))
     if blocks.m == 0:
-        return lu_T, Tinv_fx, None
+        return Tinv_fx, None, None
     Tinv_fy = lu_T.solve(as_dense(blocks.f_y))
     S = as_dense(blocks.g_y) - blocks.R @ Tinv_fy
     U = as_dense(blocks.g_x) - blocks.R @ Tinv_fx
@@ -286,18 +290,16 @@ def _schur_pieces(blocks: ModelBlocks):
         W = lu_factor(S).solve(U)
     except SingularMatrix as exc:
         raise SingularSchurComplement(str(exc)) from exc
-    return lu_T, Tinv_fx, W
+    return Tinv_fx, Tinv_fy, W
 
 
 def reduce_state_matrix(blocks: ModelBlocks) -> np.ndarray:
     """Dense n-by-n state matrix after eliminating algebraic variables.
 
-    Computes T^-1 (f_x - f_y (g_y - R T^-1 f_y)^-1 (g_x - R T^-1 f_x)).
+    Computes T^-1 f_x - (T^-1 f_y) (g_y - R T^-1 f_y)^-1 (g_x - R T^-1 f_x).
     """
-    lu_T, Tinv_fx, W = _schur_pieces(blocks)
-    if blocks.m == 0:
-        return Tinv_fx
-    return Tinv_fx - lu_T.solve(as_dense(blocks.f_y) @ W)
+    Tinv_fx, Tinv_fy, W = _schur_pieces(blocks)
+    return Tinv_fx if W is None else Tinv_fx - Tinv_fy @ W
 
 
 def lift_eigenvector(blocks: ModelBlocks, phi_x: np.ndarray) -> np.ndarray:
@@ -309,7 +311,7 @@ def lift_eigenvector(blocks: ModelBlocks, phi_x: np.ndarray) -> np.ndarray:
     """
     if blocks.m == 0:
         return np.asarray(phi_x)
-    _, _, W = _schur_pieces(blocks)
+    W = _schur_pieces(blocks)[2]
     return np.concatenate([phi_x, -(W @ phi_x)])
 
 
@@ -355,13 +357,13 @@ class ModelPencilProvider:
     ``form="reduced"`` eliminates the algebraic variables so the tracker
     runs on the n-by-n state matrix with E = I instead of the (n+m)
     pencil; both are dense arrays below ``DENSE_LIMIT`` and CSC above.
-    One memo entry per p holds the pencil ``(E, A)`` and, in pencil form,
-    the blocks (views of a dense E and A) that ``reduced`` and ``lift``
-    read, so every later ``matrices``/``sample`` call at that p (the
-    next step's predictor, the trajectory record, the derivative
-    stencil) reuses them; callers must not modify the returned matrices.
-    The memo is a pure cache: every entry depends on p alone, never on
-    which p were visited before.
+    One memo entry per p holds the pencil ``(E, A)`` alone, so every
+    later ``matrices``/``sample`` call at that p (the next step's
+    predictor, the trajectory record, the derivative stencil) reuses
+    it, and ``blocks`` slices it for ``reduced`` and ``lift``; callers
+    must not modify the returned matrices.  The memo is a pure cache:
+    every entry depends on p alone, never on which p were visited
+    before.
     """
 
     def __init__(self, model: DaeModel, form: str = "pencil"):
@@ -374,29 +376,25 @@ class ModelPencilProvider:
         self.affine_in_p = model.affine_in_p
         self._cache: dict[float, tuple] = {}
 
-    def _entry(self, p: float):
-        """Memo entry ``(blocks or None in reduced form, (E, A))`` at p."""
+    def matrices(self, p: float):
         got = self._cache.get(p)
         if got is None:
             blocks = linearize(self.model, solve_equilibrium(self.model, p))
-            if self.form == "reduced":
-                A, blocks = reduce_state_matrix(blocks), None  # unread here
-                pencil = ((np.eye(self.n), A) if self.r < DENSE_LIMIT else
-                          (as_csc(sp.identity(self.n)), as_csc(A)))
+            if self.form == "pencil":
+                got = assemble_pencil(blocks)
             else:
-                pencil = (E, A) = assemble_pencil(blocks)
-                if isinstance(E, np.ndarray):  # the memo keeps E and A once
-                    n = self.n
-                    blocks = ModelBlocks(E[:n, :n], E[n:, :n], A[:n, :n],
-                                         A[:n, n:], A[n:, :n], A[n:, n:])
-            got = memo_put(self._cache, p, (blocks, pencil))
+                A = reduce_state_matrix(blocks)
+                got = ((np.eye(self.n), A) if self.r < DENSE_LIMIT else
+                       (as_csc(sp.identity(self.n)), as_csc(A)))
+            memo_put(self._cache, p, got)
         return got
 
-    def blocks(self, p: float) -> Optional[ModelBlocks]:
-        return self._entry(p)[0]
-
-    def matrices(self, p: float):
-        return self._entry(p)[1]
+    def blocks(self, p: float) -> ModelBlocks:
+        """The blocks of ``matrices(p)``: views of a dense pencil, CSC
+        slices of a sparse one (in reduced form, those of (I, A_red))."""
+        (E, A), n = self.matrices(p), self.n
+        return ModelBlocks(E[:n, :n], E[n:, :n], A[:n, :n], A[:n, n:],
+                           A[n:, :n], A[n:, n:])
 
     def sample(self, p: float, h_p: Optional[float] = None) -> PencilSample:
         E, A = self.matrices(p)
@@ -409,6 +407,4 @@ class ModelPencilProvider:
         return reduce_state_matrix(self.blocks(p))
 
     def lift(self, p: float, phi_x: np.ndarray) -> np.ndarray:
-        if self.form == "reduced" or self.model.m == 0:
-            return np.asarray(phi_x)
-        return lift_eigenvector(self.blocks(p), phi_x)
+        return lift_eigenvector(self.blocks(p), phi_x)  # m = 0 when reduced

@@ -49,6 +49,10 @@ class ManifestError(EigtrackError):
     """A pencil-sequence manifest file is malformed."""
 
 
+class InvalidSpec(EigtrackError, ValueError):
+    """A model spec field lies outside the range the model supports."""
+
+
 class OffGrid(EigtrackError, ValueError):
     """A tabulated provider was asked for a parameter value it does not
     list."""

@@ -28,6 +28,7 @@ from .dae import DaeModel, Equilibrium, ParamDescriptor, PencilSample, memo_put
 from .errors import (
     DimensionMismatch,
     DisconnectedNetwork,
+    InvalidSpec,
     ManifestError,
     NoConvergence,
     OffGrid,
@@ -108,7 +109,7 @@ class MultiMachineSpec:
     damping: Sequence[float] = ()       # pu
     droop: Sequence[float] = ()         # pu (governor droop R)
     gov_T: Sequence[float] = ()         # s (governor filter time constant)
-    p_max: Sequence[float] = ()         # pu (governor/dispatch limit)
+    p_max: Sequence[float] = ()         # pu; only machine 0's limit is modelled
     governors: bool = True
     xd: float = 0.3                     # machine transient reactance, pu
     v_set: float = 1.0
@@ -123,7 +124,7 @@ class MultiMachineSpec:
     def __post_init__(self):
         k = self.n_mach
         if k < 2:
-            raise ValueError("need at least two machines")
+            raise InvalidSpec("need at least two machines")
         self.inertia = list(self.inertia) or [10.0] * k
         self.damping = list(self.damping) or [2.0] * k
         self.droop = list(self.droop) or [0.05] * k
@@ -131,11 +132,14 @@ class MultiMachineSpec:
         self.p_max = list(self.p_max) or [math.inf] * k
         for name in ("inertia", "damping", "droop", "gov_T", "p_max"):
             if len(getattr(self, name)) != k:
-                raise ValueError(f"{name} must have one entry per machine")
+                raise InvalidSpec(f"{name} must have one entry per machine")
         if not 0.0 <= self.z <= 1.0:
-            raise ValueError("load mix share z must lie in [0, 1]")
+            raise InvalidSpec("load mix share z must lie in [0, 1]")
         if self.mu < 0.0:
-            raise ValueError("loading factor mu must be nonnegative")
+            raise InvalidSpec("loading factor mu must be nonnegative")
+        if min(self.p_max[1:]) < self.load_p:
+            raise InvalidSpec("p_max of machines 1.. must be at least load_p: "
+                              "only machine 0's limit is modelled")
 
     @property
     def n_bus(self) -> int:
@@ -164,27 +168,16 @@ class MultiMachineSpec:
             raise DisconnectedNetwork("bus graph is not connected")
 
 
-_SWEEPABLE = ("droop", "droop_scale", "inertia_scale", "gov_T", "z", "mu",
-              "p_max_0")
-
-
-def _apply_param(spec: MultiMachineSpec, name: str, p: float) -> MultiMachineSpec:
-    if name == "droop":
-        return replace(spec, droop=[p] * spec.n_mach)
-    if name == "droop_scale":
-        return replace(spec, droop=[r * p for r in spec.droop])
-    if name == "inertia_scale":
-        return replace(spec, inertia=[m * p for m in spec.inertia])
-    if name == "gov_T":
-        return replace(spec, gov_T=[p] * spec.n_mach)
-    if name == "z":
-        return replace(spec, z=p)
-    if name == "mu":
-        return replace(spec, mu=p)
-    if name == "p_max_0":
-        return replace(spec, p_max=[p] + list(spec.p_max[1:]))
-    raise ValueError(f"unknown sweep parameter {name!r}; "
-                     f"expected one of {_SWEEPABLE}")
+# the swept spec at p, one function per sweepable parameter name
+_SWEEPS = {
+    "droop": lambda s, p: replace(s, droop=[p] * s.n_mach),
+    "droop_scale": lambda s, p: replace(s, droop=[r * p for r in s.droop]),
+    "inertia_scale": lambda s, p: replace(s, inertia=[m * p for m in s.inertia]),
+    "gov_T": lambda s, p: replace(s, gov_T=[p] * s.n_mach),
+    "z": lambda s, p: replace(s, z=p),
+    "mu": lambda s, p: replace(s, mu=p),
+    "p_max_0": lambda s, p: replace(s, p_max=[p, *s.p_max[1:]]),
+}
 
 
 def _line_arrays(spec: MultiMachineSpec):
@@ -247,18 +240,20 @@ def _network_jacobian(lines, theta, v) -> np.ndarray:
 
 
 class _FlowEquations:
-    """Power-flow mismatch and its analytic Jacobian for one slack choice.
+    """Power-flow mismatch and its analytic Jacobian.
 
-    The unknowns ``u`` are [non-slack bus angles; load-bus voltages]
-    and the mismatch is [P at non-slack buses; Q at load buses]: the
-    network injections plus machine dispatch minus the voltage-dependent
-    load.  Machine buses other than the slack inject their setpoint
-    (``load_p``, or the value ``pinned`` gives) and hold ``v_set``.
+    Bus 0 is the slack, unless machine 0 is ``pinned`` at a dispatch:
+    then bus 1 is.  The unknowns ``u`` are [non-slack bus angles;
+    load-bus voltages] and the mismatch is [P at non-slack buses; Q at
+    load buses]: the network injections plus machine dispatch minus the
+    voltage-dependent load.  Machine buses other than the slack inject
+    ``load_p`` (machine 0 the pinned value) and hold ``v_set``.
     """
 
-    def __init__(self, spec: MultiMachineSpec, lines, slack: int,
-                 pinned: dict):
+    def __init__(self, spec: MultiMachineSpec, lines,
+                 pinned: Optional[float] = None):
         k, nb = spec.n_mach, spec.n_bus
+        slack = 0 if pinned is None else 1
         self.spec = spec
         self.lines = lines
         self.nonslack = np.delete(np.arange(nb), slack)
@@ -268,8 +263,8 @@ class _FlowEquations:
         self.rows = np.concatenate([self.nonslack, nb + self.load_buses])
         self.dispatch = np.zeros(nb)
         self.dispatch[:k] = spec.load_p
-        for i, val in pinned.items():
-            self.dispatch[i] = val
+        if pinned is not None:
+            self.dispatch[0] = pinned
         self.dispatch[slack] = 0.0
         scale = 1.0 + spec.mu
         self.demand_p = np.zeros(nb)
@@ -312,44 +307,24 @@ class _FlowEquations:
         return J[np.ix_(self.rows, self.rows)]
 
 
-class _PowerFlow:
-    """Steady-state solution of the network for one parameter value.
+# relative margin by which the unpinned flow's slack dispatch must exceed
+# p_max[0] before machine 0 is pinned at its limit: far above the flow's
+# 1e-12 stop, so a dispatch equal to the limit up to rounding stays free
+GOV_LIMIT_TOL = 1e-9
 
-    ``spec`` is the swept spec at that value.  Newton with the analytic
-    Jacobian of :class:`_FlowEquations` runs from a flat start.
-    Machine bus 0 starts as slack; if its computed dispatch exceeds the
-    machine's active power limit, the flow is re-solved with that
-    machine pinned at the limit, bus 1 taking over as slack, and the
-    governor of the limited machine marked saturated.  Of the fields
-    ``_SWEEPABLE`` moves, the solve reads only z, mu and p_max[0].
+
+class _PowerFlow:
+    """One Newton solve of the network for one set of flow inputs.
+
+    Of the fields ``_SWEEPS`` moves, the solve reads only z and mu from
+    ``spec``; ``pinned`` holds machine 0 at that dispatch with its
+    governor saturated, bus 1 taking over as slack.  Newton with the
+    analytic Jacobian of :class:`_FlowEquations` runs from a flat start.
     """
 
-    def __init__(self, spec: MultiMachineSpec, lines):
-        self.spec = spec
-        self.lines = lines
-        theta, vmag, pgen, qgen = self._solve(slack=0, pinned={})
-        saturated = set()
-        if pgen[0] > spec.p_max[0]:
-            theta, vmag, pgen, qgen = self._solve(
-                slack=1, pinned={0: spec.p_max[0]})
-            saturated = {0}
-        self.theta = theta
-        self.vmag = vmag
-        self.pgen = pgen
-        self.saturated = saturated
-        self.droop = np.asarray(spec.droop, dtype=float)
-        self.gov_free = np.ones(spec.n_mach)
-        self.gov_free[list(saturated)] = 0.0
-        # EMF behind transient reactance from the bus solution
-        k = spec.n_mach
-        vbus = vmag[:k] * np.exp(1j * theta[:k])
-        current = np.conj((pgen + 1j * qgen) / vbus)
-        e = vbus + 1j * spec.xd * current
-        self.emf = np.abs(e)
-        self.delta0 = np.angle(e)
-
-    def _solve(self, slack: int, pinned: dict):
-        eqs = _FlowEquations(self.spec, self.lines, slack, pinned)
+    def __init__(self, spec: MultiMachineSpec, lines,
+                 pinned: Optional[float] = None):
+        eqs = _FlowEquations(spec, lines, pinned)
         u = eqs.flat_start()
         for _ in range(50):
             F = eqs.mismatch(u)
@@ -366,10 +341,19 @@ class _PowerFlow:
             raise NoConvergence("power flow did not converge (loadability limit?)")
         # generated active/reactive power at machine buses: what the
         # network draws from them
-        theta, v = eqs.buses(u)
-        P, Q = _network(self.lines, theta, v)
-        k = self.spec.n_mach
-        return theta, v, -P[:k], -Q[:k]
+        k = spec.n_mach
+        self.theta, self.vmag = eqs.buses(u)
+        P, Q = _network(lines, self.theta, self.vmag)
+        self.pgen, qgen = -P[:k], -Q[:k]
+        self.saturated = set() if pinned is None else {0}
+        self.gov_free = np.ones(k)
+        self.gov_free[list(self.saturated)] = 0.0
+        # EMF behind transient reactance from the bus solution
+        vbus = self.vmag[:k] * np.exp(1j * self.theta[:k])
+        current = np.conj((self.pgen + 1j * qgen) / vbus)
+        e = vbus + 1j * spec.xd * current
+        self.emf = np.abs(e)
+        self.delta0 = np.angle(e)
 
 
 class _MultiMachine:
@@ -377,14 +361,18 @@ class _MultiMachine:
 
     Per-machine quantities are numpy slices of the state (``x[0::pm]``
     angles, ``x[1::pm]`` speeds, ``x[2::pm]`` governor outputs) and the
-    network sums use the line arrays built once here.  The swept spec
-    comes from the cached power flow at p, whose solution is shared by
-    every p with the same ``(z, mu, p_max[0])``: a droop, inertia or
-    governor time-constant sweep solves the flow once per instance.
+    network sums use the line arrays built once here.  ``pf(p)`` builds
+    the swept spec at p once and makes the governor-limit decision: the
+    flow with machine 0 as slack, or, when that dispatch exceeds
+    ``p_max[0]`` by more than ``GOV_LIMIT_TOL`` relative, the flow with
+    machine 0 pinned at ``p_max[0]``.  Solved flows are shared by every
+    p with the same ``(z, mu, pinned)``: a droop, inertia or governor
+    time-constant sweep solves the flow once per instance, and a
+    ``p_max_0`` sweep once unpinned plus once per saturated limit.
     """
 
     def __init__(self, spec: MultiMachineSpec, param: str):
-        if param not in _SWEEPABLE:
+        if param not in _SWEEPS:
             raise ValueError(f"unknown sweep parameter {param!r}")
         spec.check_connected()
         self.spec = spec
@@ -397,14 +385,22 @@ class _MultiMachine:
         self._pf_cache: dict[float, _PowerFlow] = {}
         self._flows: dict[tuple, _PowerFlow] = {}
 
+    def _flow(self, spec: MultiMachineSpec, pinned: Optional[float]):
+        key = (spec.z, spec.mu, pinned)
+        got = self._flows.get(key)
+        if got is None:
+            got = memo_put(self._flows, key, _PowerFlow(spec, self.lines, pinned))
+        return got
+
     def pf(self, p: float) -> _PowerFlow:
         got = self._pf_cache.get(p)
         if got is None:
-            spec = _apply_param(self.spec, self.param, p)
-            key = (spec.z, spec.mu, spec.p_max[0])
-            if key not in self._flows:
-                memo_put(self._flows, key, _PowerFlow(spec, self.lines))
-            got = copy.copy(self._flows[key])  # the solve reads only key
+            spec = _SWEEPS[self.param](self.spec, p)
+            limit = spec.p_max[0]
+            flow = self._flow(spec, None)
+            if flow.pgen[0] > limit + GOV_LIMIT_TOL * max(1.0, abs(limit)):
+                flow = self._flow(spec, limit)
+            got = copy.copy(flow)  # shared by every p with its (z, mu, pinned)
             got.spec, got.droop = spec, np.asarray(spec.droop, dtype=float)
             memo_put(self._pf_cache, p, got)
         return got
@@ -520,7 +516,7 @@ def make_multimachine(spec: Optional[MultiMachineSpec] = None,
     core = _MultiMachine(spec, param)
 
     def T(p):
-        swept = _apply_param(spec, param, p)
+        swept = core.pf(p).spec
         cols = [np.ones(spec.n_mach), swept.inertia]
         if spec.governors:
             cols.append(swept.gov_T)

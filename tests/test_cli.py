@@ -137,6 +137,21 @@ class TestTrack:
         assert np.all(np.diff(traj.p_values) < 0)
         assert traj[-1].p > 1.0
 
+    def test_swept_spec_out_of_range_aborts_with_partial_csv(self, tmp_path,
+                                                             capsys):
+        # the RK4 k4 stage samples z = 1.0 and its derivative stencil
+        # z = 1 + h_p, outside the spec's [0, 1]: a typed abort
+        out = tmp_path / "traj.csv"
+        rc = main(["track", "--model", "multimachine", "--param", "z",
+                   "--from", "0.9", "--to", "1.0", "--dp", "0.01",
+                   "--integrator", "rk4", "--corrector",
+                   "--target-box=-1,0,0.05,2", "--out", str(out)])
+        assert rc == EXIT_ABORTED
+        assert "InvalidSpec" in capsys.readouterr().err
+        traj = Trajectory.from_csv(out)
+        assert traj[0].p == 0.9
+        assert len(traj) > 1
+
     def test_no_selector_is_config_error(self, tmp_path):
         rc = main(["track", "--model", "companion",
                    "--from", "2", "--to", "1", "--dp", "0.1",

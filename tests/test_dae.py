@@ -434,7 +434,6 @@ class TestProviderMemo:
 
         assert len(prov._cache) == dae.MEMO_SIZE
         assert nbytes(prov._cache.values()) == dae.MEMO_SIZE * 2 * model.n ** 2 * 8
-        assert prov.blocks(0.9) is None
 
 
 class TestLinearize:

@@ -15,6 +15,8 @@ from eigtrack.dae import (
 from eigtrack.errors import (
     DimensionMismatch,
     DisconnectedNetwork,
+    EigtrackError,
+    InvalidSpec,
     ManifestError,
     NoConvergence,
 )
@@ -30,7 +32,7 @@ from eigtrack.models import (
 )
 
 from conftest import dense
-from eigtrack.models import _SWEEPABLE, _FlowEquations, _PowerFlow, _apply_param
+from eigtrack.models import _SWEEPS, _FlowEquations
 from eigtrack.spectrum import EigenPair, participation_factors
 
 
@@ -268,6 +270,21 @@ class TestMultiMachine:
         with pytest.raises(ValueError):
             MultiMachineSpec(n_mach=3, droop=[0.05, 0.05])
 
+    def test_spec_errors_are_typed(self):
+        # a swept field leaving its range inside a sweep must end the
+        # sweep as a package error (callers outside still see ValueError)
+        for bad in ({"z": 1.0 + 1e-6}, {"mu": -0.1}, {"n_mach": 1}):
+            with pytest.raises(EigtrackError):
+                MultiMachineSpec(**bad)
+
+    def test_limits_past_machine_0_below_dispatch_rejected(self):
+        # only machine 0's governor limit is modelled; every other
+        # machine dispatches load_p whatever its p_max says
+        with pytest.raises(InvalidSpec, match="only machine 0"):
+            MultiMachineSpec(p_max=[math.inf, 0.5, 0.5, 0.5, 0.5, 0.5])
+        spec = MultiMachineSpec(p_max=[0.5] + [0.8] * 5)
+        assert spec.p_max == [0.5] + [0.8] * 5
+
 
 # (spec fields, swept parameter, p): the base case, machine 0 pinned at
 # its governor limit, and a loaded network with voltage-dependent loads
@@ -331,8 +348,8 @@ class TestNetworkEquations:
         model, p = network_case(case)
         pf = model.core.pf(p)
         assert pf.saturated == ({0} if case == "saturated" else set())
-        slack, pinned = ((1, {0: 0.7}) if pf.saturated else (0, {}))
-        eqs = _FlowEquations(pf.spec, model.core.lines, slack, pinned)
+        eqs = _FlowEquations(pf.spec, model.core.lines,
+                             0.7 if pf.saturated else None)
         nb = pf.spec.n_bus
         u = np.concatenate([pf.theta[eqs.nonslack], pf.vmag[eqs.load_buses]])
         assert np.max(np.abs(eqs.mismatch(u))) < 1e-10
@@ -377,12 +394,14 @@ class TestNetworkEquations:
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
 
-    def test_governor_limit_switches_one_ulp_below_setpoint(self):
-        # the lossless network dispatches exactly the 0.8 pu setpoint at
-        # the slack, so the limit check flips between these two values
+    def test_governor_limit_tolerates_rounding_at_setpoint(self):
+        # the lossless network dispatches the 0.8 pu setpoint at the
+        # slack up to rounding: a limit within rounding of it leaves the
+        # governor free, one clearly below it saturates
         core = make_multimachine(MultiMachineSpec(), param="p_max_0").core
-        assert core.pf(0.8).saturated == set()
-        assert core.pf(0.7999999999999999).saturated == {0}
+        for p in (math.nextafter(0.8, 1.0), 0.8, math.nextafter(0.8, 0.0)):
+            assert core.pf(p).saturated == set(), p
+        assert core.pf(0.8 - 1e-6).saturated == {0}
 
 
 class TestSharedPowerFlow:
@@ -395,12 +414,11 @@ class TestSharedPowerFlow:
 
     @pytest.mark.parametrize("param", sorted(SWEEPS))
     def test_flow_equals_a_fresh_solve(self, param):
-        assert sorted(self.SWEEPS) == sorted(_SWEEPABLE)
-        spec = MultiMachineSpec()
-        core = make_multimachine(spec, param=param).core
+        assert sorted(self.SWEEPS) == sorted(_SWEEPS)
+        core = make_multimachine(MultiMachineSpec(), param=param).core
         for p in self.SWEEPS[param]:
             pf = core.pf(p)
-            fresh = _PowerFlow(_apply_param(spec, param, p), core.lines)
+            fresh = make_multimachine(MultiMachineSpec(), param=param).core.pf(p)
             assert pf.spec == fresh.spec
             assert pf.saturated == fresh.saturated
             for name in ("theta", "vmag", "pgen", "emf", "delta0", "droop",
@@ -410,10 +428,13 @@ class TestSharedPowerFlow:
     @pytest.mark.parametrize("param, grid", [
         ("droop", [0.2 - 0.0018 * k for k in range(101)]),
         ("mu", [0.03 * k for k in range(11)]),
+        ("p_max_0", [0.91 - 0.02 * k for k in range(11)]),
     ])
     def test_power_flow_solves_per_sweep(self, monkeypatch, param, grid):
         # a droop sweep solves the flow once; a mu sweep once per p the
-        # model is evaluated at (each grid point and its p + h_p)
+        # model is evaluated at (each grid point and its p + h_p); a
+        # p_max_0 sweep once unpinned, plus once pinned per p below the
+        # 0.8 pu dispatch
         from eigtrack import models
 
         solves, visited = [], set()
@@ -428,7 +449,9 @@ class TestSharedPowerFlow:
         for p in grid:
             prov.sample(p)
         assert len(visited) == 2 * len(grid)
-        assert len(solves) == (1 if param == "droop" else len(visited))
+        expected = {"droop": 1, "mu": len(visited),
+                    "p_max_0": 1 + sum(p < 0.8 for p in visited)}
+        assert len(solves) == expected[param]
 
 
 class TestModelSpecFile:
