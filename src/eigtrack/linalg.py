@@ -3,14 +3,19 @@
 Sparse matrices, real or complex, are carried as
 ``scipy.sparse.csc_matrix``; dense matrices and vectors are plain numpy
 arrays.  The two entry points that the continuation core leans on are
-:func:`lu_factor` (LU with an absolute pivot floor: dense LAPACK for a
-numpy array, SuperLU for anything else, so near-singular bordered
-matrices surface as :class:`~eigtrack.errors.SingularMatrix` instead of
-garbage solutions) and :func:`eig_dense` (full dense eigendecomposition
-used as initializer and reference oracle).
+:func:`lu_factor` and :func:`eig_dense` (full dense eigendecomposition
+used as initializer and reference oracle).  :func:`lu_factor` factors a
+numpy array with dense LAPACK and an absolute pivot floor, a
+:class:`Bordered` matrix ``[[P, c], [b^T, 0]]`` by SuperLU on ``P``
+alone plus block elimination for the border, and anything else with
+SuperLU and the same pivot floor.  Either way a near-singular bordered
+matrix surfaces as :class:`~eigtrack.errors.SingularMatrix` instead of
+a garbage solution.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,10 +30,21 @@ PIVOT_FLOOR = 1e-14
 # bordered assemble, LU and solve on the tridiagonal SyntheticSparseProvider
 # pencil is 0.1x the sparse time at r = 32, 0.9x at 128 and 1.4x at 144.
 DENSE_LIMIT = 128
+# A Bordered matrix's block P whose SuperLU factorization meets an exactly
+# zero pivot is factored again as P + SHIFT_REL * max(1, max|P_ij|) * I.
+SHIFT_REL = 1e-13
+# Largest lower estimate of a Bordered matrix's condition number that its
+# factorization and solves accept (see _BorderedLU).  Measured: at most 1.6
+# (eigenvalue condition) and 28 (solution growth) on the SyntheticSparseProvider
+# sweep, 8e7 and 5e7 on the companion fold sweeps, 1e13 where M is singular.
+COND_MAX = 1e8
 
 __all__ = [
     "PIVOT_FLOOR",
     "DENSE_LIMIT",
+    "SHIFT_REL",
+    "COND_MAX",
+    "Bordered",
     "LUFactorization",
     "lu_factor",
     "eig_dense",
@@ -75,18 +91,136 @@ class _DenseLU:
         return self._getrs(self.lu, self._piv, b)[0]
 
 
+class Bordered(NamedTuple):
+    """The bordered matrix ``[[P, c], [b^T, 0]]`` kept as its parts: a
+    square sparse block P of order r and border vectors c and b of
+    length r, with no dense row or column stored in a sparse matrix."""
+
+    P: sp.spmatrix
+    c: np.ndarray
+    b: np.ndarray
+
+    @property
+    def shape(self):
+        r = self.P.shape[0] + 1
+        return (r, r)
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries of the matrix built as one CSC: P's and 2r."""
+        return self.P.nnz + 2 * len(self.c)
+
+    def toarray(self) -> np.ndarray:
+        """The whole matrix as a dense array."""
+        r = len(self.c)
+        M = np.zeros(self.shape, dtype=np.result_type(self.P.dtype, self.c, self.b))
+        M[:r, :r] = as_dense(self.P)
+        M[:r, r] = self.c
+        M[r, :r] = self.b
+        return M
+
+
+class _BorderedLU:
+    """SuperLU factors of a :class:`Bordered` matrix's block P, with the
+    border solved by mixed block elimination (BEMW; Govaerts, *Numerical
+    Methods for Bifurcations of Dynamical Equilibria*, SIAM 2000, ch. 3).
+
+    Once per factorization ``v = P^-1 c``, ``w = P^-T b``,
+    ``delta = -b^T v`` and ``delta* = -c^T w``; per right-hand side
+    ``[f; g]``::
+
+        y1 = (g - w^T f) / delta*      xi = P^-1 (f - c y1)
+        y2 = (g - b^T xi) / delta      x = xi - v y2,  mu = y1 + y2
+
+    BEMW stays accurate while P is near singular, as sE - A is near an
+    eigenpair, so no pivot floor applies to P.  Where SuperLU meets an
+    exactly zero pivot (P exactly singular, as at an exactly computed
+    eigenpair) P is factored again as ``P + eta I`` with
+    ``eta = SHIFT_REL * max(1, max|P_ij|)``: the solves are then those of
+    M + eta [[I, 0], [0, 0]], a backward error of relative size 1e-13 on
+    the block, which moves a solution by about ``1e-13 * cond(M)``.
+
+    Two lower estimates of cond(M) raise :class:`SingularMatrix` above
+    ``COND_MAX``.  ``-w / delta*`` is the left null vector of the block
+    scaled so that its product with c is 1, so ``||w|| ||b|| / |delta*|``
+    is the condition number of the tracked eigenvalue (c = E phi,
+    b = phi): about 1 at a simple eigenvalue, near 1/eta for a defective
+    one or an isotropic b (b^T b = 0); the factorization checks it.  A
+    second eigenvalue at s (a semisimple double one) leaves it at 1, so
+    each solve also checks its growth ``max|x| max|M_ij| / max|rhs|``.
+    """
+
+    def __init__(self, M: Bordered):
+        P, c, b = M
+        r = len(c)
+        if P.shape != (r, r) or len(b) != r:
+            raise DimensionMismatch(
+                f"block {P.shape} with borders {r} and {len(b)}")
+        dtype = np.result_type(P.dtype, c, b, np.float64)
+        P = as_csc(P).astype(dtype, copy=False)
+        self._c, self._b = np.array(c, dtype=dtype), np.array(b, dtype=dtype)
+        max_p = np.abs(P.data).max(initial=0.0)
+        self._max_entry = max(max_p, np.abs(self._c).max(), np.abs(self._b).max())
+        try:
+            self._lu = spla.splu(P)
+        except RuntimeError:  # an exactly zero pivot
+            eta = SHIFT_REL * max(1.0, max_p)
+            try:
+                self._lu = spla.splu(P + eta * sp.identity(r, dtype))
+            except RuntimeError as exc:
+                raise SingularMatrix(str(exc)) from exc
+        self.nnz = self._lu.nnz
+        self._v = self._lu.solve(self._c)
+        self._w = self._lu.solve(self._b, trans="T")
+        self._delta = -(self._b @ self._v)
+        self._delta_star = -(self._c @ self._w)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # delta = delta* up to rounding; the smaller one is the safer
+            _check_cond(np.linalg.norm(self._w) * np.linalg.norm(self._b)
+                        / min(abs(self._delta), abs(self._delta_star)),
+                        "eigenvalue condition")
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        f, g = rhs[:-1], rhs[-1]
+        c, v = self._c, self._v
+        if rhs.ndim == 2:
+            c, v = c[:, None], v[:, None]
+        y1 = (g - self._w @ f) / self._delta_star
+        xi = self._lu.solve(f - c * y1)
+        y2 = (g - self._b @ xi) / self._delta
+        x = np.concatenate([xi - v * y2, (y1 + y2)[None]])
+        if np.any(rhs):
+            _check_cond(np.abs(x).max() * self._max_entry / np.abs(rhs).max(),
+                        "solution growth")
+        return x
+
+
+def _check_cond(cond: float, what: str) -> None:
+    if not cond <= COND_MAX:  # also NaN
+        raise SingularMatrix(
+            f"bordered matrix {what} {cond:.3e} above {COND_MAX:.1e}")
+
+
 class LUFactorization:
     """Immutable LU factorization supporting repeated solves.
 
     A numpy array is factored with dense LAPACK ``getrf`` and solved with
     ``getrs``, or, for several right-hand-side columns, with ``gesv`` on
     a copy of the matrix taken at construction (see :class:`_DenseLU`);
-    any other input is converted to CSC and factored with SuperLU.  A
+    a :class:`Bordered` matrix by SuperLU on its block and block
+    elimination for the border (see :class:`_BorderedLU`); any other
+    input is converted to CSC and factored with SuperLU.  A dense or CSC
     factorization whose U diagonal contains a pivot with magnitude at or
-    below ``PIVOT_FLOOR`` is rejected at construction time.
+    below ``PIVOT_FLOOR`` is rejected at construction time; a
+    :class:`Bordered` one whose eigenvalue condition number exceeds
+    ``COND_MAX``, and a solve of it whose growth does.
     """
 
     def __init__(self, M):
+        if isinstance(M, Bordered):
+            self._lu = _BorderedLU(M)
+            self.shape = M.shape
+            return
         if isinstance(M, np.ndarray):
             if M.ndim != 2 or M.shape[0] != M.shape[1]:
                 raise DimensionMismatch(f"matrix is {M.shape}, expected square")
@@ -119,11 +253,16 @@ class LUFactorization:
 
 def lu_factor(M) -> LUFactorization:
     """LU factorization of a square real or complex matrix: dense LAPACK
-    for a numpy array, SuperLU for a sparse (or other) matrix.
+    for a numpy array, SuperLU on the block P plus block elimination for
+    a :class:`Bordered` matrix, SuperLU for a sparse (or other) matrix.
 
-    Raises :class:`SingularMatrix` when a pivot falls at or below
-    ``PIVOT_FLOOR``; callers interpret this as proximity to a
-    defective/critical point.
+    Raises :class:`SingularMatrix` when a dense or sparse pivot falls at
+    or below ``PIVOT_FLOOR``.  A :class:`Bordered` matrix has no pivot
+    floor, as its block P is singular at every eigenpair; it raises when
+    P shifted by ``SHIFT_REL`` still has an exactly zero pivot or the
+    tracked eigenvalue's condition number exceeds ``COND_MAX``, and its
+    ``solve`` raises when a solution's growth does.  Callers interpret
+    this as proximity to a defective/critical point.
     """
     return LUFactorization(M)
 

@@ -365,7 +365,9 @@ class _MultiMachine:
     the swept spec at p once and makes the governor-limit decision: the
     flow with machine 0 as slack, or, when that dispatch exceeds
     ``p_max[0]`` by more than ``GOV_LIMIT_TOL`` relative, the flow with
-    machine 0 pinned at ``p_max[0]``.  Solved flows are shared by every
+    machine 0 pinned at ``p_max[0]``; that flow raises
+    :class:`InvalidSpec` when machine 1, its slack, exceeds ``p_max[1]``
+    by the same margin.  Solved flows are shared by every
     p with the same ``(z, mu, pinned)``: a droop, inertia or governor
     time-constant sweep solves the flow once per instance, and a
     ``p_max_0`` sweep once unpinned plus once per saturated limit.
@@ -400,6 +402,13 @@ class _MultiMachine:
             flow = self._flow(spec, None)
             if flow.pgen[0] > limit + GOV_LIMIT_TOL * max(1.0, abs(limit)):
                 flow = self._flow(spec, limit)
+                cap = spec.p_max[1]  # machine 1 is the slack now
+                if flow.pgen[1] > cap + GOV_LIMIT_TOL * max(1.0, abs(cap)):
+                    raise InvalidSpec(
+                        f"machine 1 would dispatch {flow.pgen[1]:.6g} pu, above "
+                        f"its p_max {cap:.6g}, with machine 0 pinned at "
+                        f"{limit:.6g} at p={p}: only machine 0's limit is "
+                        "modelled")
             got = copy.copy(flow)  # shared by every p with its (z, mu, pinned)
             got.spec, got.droop = spec, np.asarray(spec.droop, dtype=float)
             memo_put(self._pf_cache, p, got)

@@ -5,9 +5,10 @@ eigenproblem (sE - A) phi = 0 and the bilinear normalization
 phi^T phi = 1 have no conjugation, so they are analytic in (phi, s);
 differentiating them with respect to the parameter gives the complex
 bordered (r+1)-dimensional system M [phi'; s'] = h with a
-state-dependent matrix M, dense for r below ``DENSE_LIMIT`` and sparse
-above it.  Tracking integrates this system with an explicit Euler or
-classical Runge-Kutta predictor, optionally refines each step with a
+state-dependent matrix M, dense for r below ``DENSE_LIMIT`` and above
+it a sparse block sE - A with its dense border kept apart.  Tracking
+integrates this system with an explicit Euler or classical Runge-Kutta
+predictor, optionally refines each step with a
 Newton corrector on the exact eigenproblem, adapts the parameter step
 from the eigenvalue displacement, and recovers from defective (fold)
 points and trajectory discontinuities by flagged re-initialization.
@@ -33,7 +34,7 @@ from .errors import (
     SingularMatrix,
     TrackingAborted,
 )
-from .linalg import DENSE_LIMIT, as_dense, lu_factor
+from .linalg import DENSE_LIMIT, Bordered, as_csc, as_dense, lu_factor
 # mac stays bound here: perfbench/tracing.py wraps tracker.mac
 from .spectrum import best_match, full_spectrum, mac  # noqa: F401
 
@@ -248,9 +249,12 @@ def assemble_system(E, A, state: TrackerState):
     """Bordered matrix M = [[sE - A, E phi], [phi^T, 0]] at ``state``:
     the predictors solve M [phi'; s'] = h, the corrector M delta = -G.
 
-    M is a dense complex array when r < ``DENSE_LIMIT`` and a sparse CSC
-    matrix otherwise, whichever layout E and A come in;
-    :func:`~eigtrack.linalg.lu_factor` takes either.
+    M is a dense complex array when r < ``DENSE_LIMIT``, whichever layout
+    E and A come in.  Otherwise it is a :class:`~eigtrack.linalg.Bordered`
+    of its parts: sE - A as CSC, E phi and phi; its factorization handles
+    only sE - A, singular at every eigenpair, and eliminates the border.
+    :func:`~eigtrack.linalg.lu_factor` takes either, and raises
+    :class:`SingularMatrix` where M, not sE - A, is near singular.
     """
     phi, s = state.phi, state.s
     r = len(phi)
@@ -261,12 +265,7 @@ def assemble_system(E, A, state: TrackerState):
         M[r, :r] = phi
         M[r, r] = 0.0
         return M
-    P = sp.coo_matrix(s * E - A)
-    border = np.arange(r)
-    rows = np.concatenate([P.row, border, np.full(r, r)])
-    cols = np.concatenate([P.col, np.full(r, r), border])
-    data = np.concatenate([P.data, E @ phi, phi])
-    return sp.csc_matrix((data, (rows, cols)), shape=(r + 1, r + 1))
+    return Bordered(as_csc(s * E - A), E @ phi, phi)
 
 
 def _velocity(sample, state: TrackerState) -> np.ndarray:

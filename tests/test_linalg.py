@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from eigtrack.errors import DimensionMismatch, NoConvergence, SingularMatrix
 from eigtrack.linalg import (
+    Bordered,
     as_csc,
     eig_dense,
     lu_factor,
@@ -94,6 +95,104 @@ class TestDenseLu:
         assert np.allclose(F.solve(b), want)
         assert np.allclose(F.solve(np.column_stack([b, b])),
                            np.column_stack([want, want]))
+
+
+def bordered(P, c, b):
+    return Bordered(as_csc(np.asarray(P, dtype=complex)),
+                    np.asarray(c, dtype=complex), np.asarray(b, dtype=complex))
+
+
+# Singular bordered matrices [[sI - A, phi], [phi^T, 0]] at an eigenpair
+SINGULAR = {
+    # isotropic eigenvector: phi^T phi = 0
+    "isotropic": (np.array([[-1.0, 1.0], [-1.0, -1.0]]), -1.0 + 1.0j,
+                  np.array([1.0, 1.0j])),
+    # Jordan block: a defective eigenvalue
+    "jordan": (np.array([[-1.0, 1.0], [0.0, -1.0]]), -1.0 + 0.0j,
+               np.array([1.0, 0.0])),
+    # semisimple double eigenvalue: sI - A has a second null vector
+    "semisimple": (np.diag([-1.0, -1.0, -2.0]), -1.0 + 0.0j,
+                   np.array([1.0, 0.0, 0.0])),
+}
+
+
+class TestBorderedLu:
+    """A Bordered matrix: SuperLU on its block, block elimination for the
+    border, and SingularMatrix where the whole matrix is singular."""
+
+    def near_eigenpair(self, r=40, seed=5):
+        # [[sI - A, phi], [phi^T, 0]] at a computed eigenpair of a random
+        # A: the block is singular to working precision, M is not
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((r, r))
+        w, V = np.linalg.eig(A)
+        k = int(np.argmax(w.imag))
+        phi = V[:, k] / np.sqrt(V[:, k] @ V[:, k])
+        return bordered(w[k] * np.eye(r) - A, phi, phi)
+
+    def test_solves_match_the_dense_matrix(self):
+        M = self.near_eigenpair()
+        dense = M.toarray()
+        rng = np.random.default_rng(1)
+        B = rng.standard_normal((41, 3)) + 1j * rng.standard_normal((41, 3))
+        F = lu_factor(M)
+        for rhs in (B[:, 0], B):
+            x = F.solve(rhs)
+            assert x.shape == rhs.shape
+            assert np.allclose(x, np.linalg.solve(dense, rhs),
+                               rtol=1e-10, atol=1e-10)
+            assert np.max(np.abs(dense @ x - rhs)) <= 1e-10
+
+    def test_parts(self):
+        M = bordered([[2.0, 0.0], [0.0, 3.0]], [1.0, 0.0], [0.0, 1.0])
+        assert M.shape == (3, 3)
+        assert M.nnz == 2 + 4  # the block's entries and both borders
+        assert np.array_equal(M.toarray(),
+                              [[2, 0, 1], [0, 3, 0], [0, 1, 0]])
+
+    def test_exactly_singular_block_is_shifted(self):
+        # P = 0 has an exactly zero pivot; M = [[0, 1], [1, 0]] is regular
+        F = lu_factor(bordered([[0.0]], [1.0], [1.0]))
+        assert np.allclose(F.solve(np.array([2.0, 3.0])), [3.0, 2.0])
+
+    @pytest.mark.parametrize("case", sorted(SINGULAR))
+    @pytest.mark.parametrize("form", ["dense", "bordered"])
+    def test_singular_raises(self, case, form):
+        A, s, phi = SINGULAR[case]
+        r = len(phi)
+        M = bordered(s * np.eye(r) - A, phi, phi)
+        with pytest.raises(SingularMatrix):
+            lu_factor(M.toarray() if form == "dense" else M).solve(
+                np.ones(r + 1))
+
+    def test_eigenvalue_condition_bound(self):
+        # a simple eigenvalue of modest condition passes; a defective one
+        # or an isotropic phi is refused when factored (condition ~1e13)
+        A = np.array([[-1.0, 1.0], [0.0, -2.0]])
+        phi = np.array([1.0, 0.0])
+        lu_factor(bordered(-1.0 * np.eye(2) - A, phi, phi))
+        for case in ("isotropic", "jordan"):
+            A, s, phi = SINGULAR[case]
+            with pytest.raises(SingularMatrix, match="eigenvalue condition"):
+                lu_factor(bordered(s * np.eye(2) - A, phi, phi))
+
+    def test_solution_growth_bound(self):
+        # a second eigenvalue at s leaves the eigenvalue condition at 1;
+        # the solve that reaches its null vector is refused
+        A, s, phi = SINGULAR["semisimple"]
+        F = lu_factor(bordered(s * np.eye(3) - A, phi, phi))
+        assert np.allclose(F.solve(np.array([0.0, 0.0, 1.0, 0.0])),
+                           [0.0, 0.0, 1.0, 0.0])
+        with pytest.raises(SingularMatrix, match="solution growth"):
+            F.solve(np.array([0.0, 1.0, 0.0, 0.0]))
+
+    def test_rhs_dimension_checked(self):
+        with pytest.raises(DimensionMismatch):
+            lu_factor(self.near_eigenpair()).solve(np.ones(40))
+
+    def test_mismatched_parts_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            lu_factor(bordered(np.eye(2), [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
 
 
 class TestLuSolve:

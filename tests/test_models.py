@@ -1,6 +1,7 @@
 """Benchmark model factories, synthetic providers, and file-based pencils."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -284,6 +285,23 @@ class TestMultiMachine:
             MultiMachineSpec(p_max=[math.inf, 0.5, 0.5, 0.5, 0.5, 0.5])
         spec = MultiMachineSpec(p_max=[0.5] + [0.8] * 5)
         assert spec.p_max == [0.5] + [0.8] * 5
+
+    @pytest.mark.parametrize("fields, dispatch", [
+        ({"p_max": [0.5] + [0.8] * 5}, "1.1"),
+        ({"mu": 0.2, "p_max": [0.9] + [0.8] * 5}, "1.66"),
+    ])
+    def test_slack_past_its_limit_once_machine_0_is_pinned_rejected(
+            self, fields, dispatch):
+        # machine 0 pinned at its limit hands the slack to machine 1,
+        # whose own limit is not modelled: a flow past it is refused
+        core = make_multimachine(MultiMachineSpec(**fields)).core
+        with pytest.raises(InvalidSpec, match=re.escape(
+                f"machine 1 would dispatch {dispatch} pu, above its p_max 0.8")):
+            core.pf(0.05)
+        roomy = dict(fields, p_max=[fields["p_max"][0]] + [2.0] * 5)
+        flow = make_multimachine(MultiMachineSpec(**roomy)).core.pf(0.05)
+        assert flow.saturated == {0}
+        assert flow.pgen[1] == pytest.approx(float(dispatch))
 
 
 # (spec fields, swept parameter, p): the base case, machine 0 pinned at

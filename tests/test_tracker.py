@@ -17,10 +17,15 @@ from eigtrack.errors import (
     NoCandidate,
     NoConvergence,
     NonFiniteMatrix,
+    SingularMatrix,
     TrackingAborted,
 )
-from eigtrack.linalg import as_csc, eig_dense
-from eigtrack.models import companion_eigenvalues
+from eigtrack.linalg import Bordered, as_csc, eig_dense
+from eigtrack.models import (
+    SyntheticSparseProvider,
+    companion_eigenvalues,
+    make_companion_fold,
+)
 from eigtrack.spectrum import full_spectrum, mac
 from eigtrack.tracker import (
     AdaptConfig,
@@ -160,7 +165,8 @@ class TestAssembleSystem:
         assert np.allclose(dense[2, :2], phi)
 
     def test_sparse_path_matches_dense(self, companion_provider, monkeypatch):
-        # r = 2 is below DENSE_LIMIT; DENSE_LIMIT = 0 forces the CSC path
+        # r = 2 is below DENSE_LIMIT; DENSE_LIMIT = 0 forces the bordered
+        # sparse path
         state = companion_state(companion_provider, 2.0)
         sample = companion_provider.sample(2.0)
         pencil = companion_provider.matrices(2.05)
@@ -174,7 +180,8 @@ class TestAssembleSystem:
         M_dense, v_dense, fix_dense, it_dense = run()
         monkeypatch.setattr(tracker, "DENSE_LIMIT", 0)
         M_sparse, v_sparse, fix_sparse, it_sparse = run()
-        assert isinstance(M_dense, np.ndarray) and sp.issparse(M_sparse)
+        assert isinstance(M_dense, np.ndarray)
+        assert isinstance(M_sparse, Bordered) and sp.issparse(M_sparse.P)
         assert np.array_equal(M_dense, M_sparse.toarray())
         assert np.allclose(v_dense, v_sparse, rtol=1e-12, atol=1e-12)
         assert it_dense == it_sparse > 0
@@ -200,6 +207,106 @@ class TestAssembleSystem:
             sdot = velocity(sample, state)[-1]
             central = (oracle(p + h, pair.s) - oracle(p - h, pair.s)) / (2 * h)
             assert abs(sdot - central) <= 1e-4 * max(1.0, abs(central))
+
+
+class DiagonalPencil:
+    """E = I, A(p) = diag(-1 - p, -2, ..., -r): the tracked eigenvalue
+    -1 - p is exactly representable on a dyadic p grid, so sE - A is
+    exactly singular at every converged step."""
+
+    affine_in_p = True
+
+    def __init__(self, r):
+        self.r = self.n = r
+        self._rest = -np.arange(2.0, r + 1)
+
+    def matrices(self, p):
+        return (sp.identity(self.r, format="csc"),
+                sp.diags(np.append(-1.0 - p, self._rest), format="csc"))
+
+    def sample(self, p, h_p=None):
+        E, A = self.matrices(p)
+        return PencilSample(E=E, A=A, Edot=as_csc(sp.csc_matrix(E.shape)),
+                            Adot=as_csc(sp.diags(-np.eye(1, self.r)[0])))
+
+
+class TestBorderedSparsePath:
+    """Above DENSE_LIMIT the bordered matrix is factored as sE - A plus a
+    block-eliminated border (linalg.Bordered)."""
+
+    def test_fold_suite_matches_dense_path(self, monkeypatch):
+        # The acceptance fold suite: three adaptive RK4 + Newton sweeps
+        # through the defective point p = 1, with re-initialization.
+        provider = ModelPencilProvider(make_companion_fold(), form="reduced")
+
+        def suite():
+            out = []
+            for p0, p1, eps in ((2.0, 0.5, 0.0), (0.5, 2.0, 0.0),
+                                (0.5, 2.0, 1e-6)):
+                state = companion_state(provider, p0)
+                cfg = TrackerConfig(
+                    p_init=p0, p_fin=p1, dp_init=0.01 if p1 > p0 else -0.01,
+                    predictor="rk4",
+                    corrector=NewtonConfig(tol=1e-12, max_iter=12),
+                    adapt=AdaptConfig(enabled=True), epsilon_imag=eps,
+                    reperturb=eps > 0, reinit_policy="on_failure")
+                out.append(track(provider, state, cfg))
+            return out
+
+        dense = suite()
+        monkeypatch.setattr(tracker, "DENSE_LIMIT", 0)
+        sparse = suite()
+        for d, s in zip(dense, sparse):
+            assert len(d) == len(s)
+            for a, b in zip(d, s):
+                assert a.p == b.p
+                assert a.flags == b.flags
+                assert a.corrector_iters == b.corrector_iters
+                assert abs(a.s - b.s) <= 1e-12
+
+    def test_diagonal_pencil_matches_closed_form(self):
+        r, dp = 160, 1.0 / 16
+        provider = DiagonalPencil(r)
+        E, A = provider.matrices(0.0)
+        state = init_from_eigenpair(E, A, -1.0, np.eye(r)[0], p=0.0)
+        assert isinstance(assemble_system(E, A, state), Bordered)
+        cfg = TrackerConfig(p_init=0.0, p_fin=0.5, dp_init=dp,
+                            predictor="fem",
+                            corrector=NewtonConfig(tol=1e-12),
+                            epsilon_imag=0.0)
+        traj = track(provider, state, cfg)
+        assert len(traj) == 9
+        for rec in traj:
+            assert abs(rec.s - (-1.0 - rec.p)) <= 1e-14
+            assert mac(rec.phi, np.eye(r)[0]) >= 1 - 1e-14
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_initial_fill_is_linear_in_r(self, seed):
+        # Only sE - A, tridiagonal here, is factored; a dense border row
+        # pivoted into one sparse LU stored 22k-228k L+U entries.
+        provider = SyntheticSparseProvider(size=800, seed=seed)
+        E, A = provider.matrices(0.0)
+        pair = max(full_spectrum(provider, 0.0), key=lambda e: e.s.imag)
+        state = init_from_eigenpair(E, A, pair.s, pair.right, p=0.0)
+        F = tracker.lu_factor(assemble_system(E, A, state))
+        assert F._lu.nnz <= 5 * provider.r
+
+    @pytest.mark.parametrize("dense_limit", [tracker.DENSE_LIMIT, 0])
+    @pytest.mark.parametrize("A, s, phi", [
+        # isotropic eigenvector: phi^T phi = 0 makes M singular
+        (np.array([[-1.0, 1.0], [-1.0, -1.0]]), -1.0 + 1.0j,
+         np.array([1.0, 1.0j])),
+        # Jordan block: a defective eigenvalue
+        (np.array([[-1.0, 1.0], [0.0, -1.0]]), -1.0, np.array([1.0, 0.0])),
+    ], ids=["isotropic", "jordan"])
+    def test_singular_bordered_matrix_raises(self, A, s, phi, dense_limit,
+                                             monkeypatch):
+        monkeypatch.setattr(tracker, "DENSE_LIMIT", dense_limit)
+        state = TrackerState(phi=phi.astype(complex), s=complex(s), p=0.0)
+        M = assemble_system(as_csc(np.eye(2)), as_csc(A), state)
+        assert isinstance(M, np.ndarray) == (dense_limit > 0)
+        with pytest.raises(SingularMatrix):
+            tracker.lu_factor(M).solve(np.ones(3, dtype=complex))
 
 
 class TestPredictors:
