@@ -226,7 +226,7 @@ class DiagonalPencil:
 
     def sample(self, p, h_p=None):
         E, A = self.matrices(p)
-        return PencilSample(E=E, A=A, Edot=as_csc(sp.csc_matrix(E.shape)),
+        return PencilSample(E=E, A=A, Edot=sp.csc_matrix(E.shape),
                             Adot=as_csc(sp.diags(-np.eye(1, self.r)[0])))
 
 
